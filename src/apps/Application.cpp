@@ -96,7 +96,8 @@ AppVerdict apps::runApplicationOnce(sim::ExecutionContext &Ctx, AppKind K,
                                     const stress::Environment &Env,
                                     const stress::TunedStressParams &Tuned,
                                     const sim::FencePolicy *Policy,
-                                    uint64_t Seed, bool Sequential) {
+                                    uint64_t Seed, bool Sequential,
+                                    sim::RunResult *Last) {
   Rng R(Seed);
   sim::Device Dev(Ctx, Chip, R.next());
   Dev.setSequentialMode(Sequential);
@@ -112,8 +113,11 @@ AppVerdict apps::runApplicationOnce(sim::ExecutionContext &Ctx, AppKind K,
   Rng EnvRng = R.fork(1);
   const auto Stress = applyEnvironment(Env, Dev, Tuned, EnvRng);
 
-  if (!App->run(Dev)) {
-    switch (Dev.lastStatus()) {
+  const bool Completed = App->run(Dev);
+  if (Last)
+    *Last = Dev.lastResult();
+  if (!Completed) {
+    switch (Dev.lastResult().Status) {
     case sim::RunStatus::Timeout:
       return AppVerdict::Timeout;
     default:

@@ -120,12 +120,16 @@ inline bool isErroneous(AppVerdict V) { return V != AppVerdict::Pass; }
 /// loops and pool workers pass their recycled context so repeated runs
 /// allocate nothing in steady state. Results are bit-identical for any
 /// context history (DESIGN.md Sec. 12).
+///
+/// \p Last, when given, receives the result of the run's last kernel
+/// launch: the one that ended the run when it did not complete.
 AppVerdict runApplicationOnce(sim::ExecutionContext &Ctx, AppKind K,
                               const sim::ChipProfile &Chip,
                               const stress::Environment &Env,
                               const stress::TunedStressParams &Tuned,
                               const sim::FencePolicy *Policy, uint64_t Seed,
-                              bool Sequential = false);
+                              bool Sequential = false,
+                              sim::RunResult *Last = nullptr);
 
 /// As above, leasing a recycled context from the current thread's pool.
 AppVerdict runApplicationOnce(AppKind K, const sim::ChipProfile &Chip,

@@ -34,6 +34,7 @@
 
 #include "sim/ThreadContext.h"
 
+#include <algorithm>
 #include <vector>
 
 using namespace gpuwmm;
@@ -218,7 +219,14 @@ Kernel summariseKernel(ThreadContext &Ctx, TreeAddrs T, Addr PosX,
                        Addr PosY) {
   if (Ctx.globalId() != 0)
     co_return;
-  const unsigned Count = co_await Ctx.ld(T.NodeCount);
+  // The build bumps NodeCount before checking it against MaxNodes (and
+  // flags the overflow), and a weak build can leave a garbage child
+  // pointer: both are clamped here as the force kernel does, so a
+  // corrupt tree reads only its own arrays. Past the array ends lie
+  // other allocations or no allocation at all, and what a load there
+  // returns would depend on earlier runs of the same engine.
+  const Word Allocated = co_await Ctx.ld(T.NodeCount);
+  const unsigned Count = std::min<Word>(Allocated, MaxNodes);
   // Children always have higher indices than their parents, so one
   // reverse pass computes all centres of mass bottom-up. Exact coordinate
   // SUMS are stored (division happens at use in the force kernel), so the
@@ -238,6 +246,8 @@ Kernel summariseKernel(ThreadContext &Ctx, TreeAddrs T, Addr PosX,
         Sy += co_await Ctx.ld(PosY + B, SiteSumLd);
         continue;
       }
+      if (C >= MaxNodes)
+        continue;
       Mass += co_await Ctx.ld(T.Mass + C, SiteSumLd);
       Sx += co_await Ctx.ld(T.ComX + C, SiteSumLd);
       Sy += co_await Ctx.ld(T.ComY + C, SiteSumLd);

@@ -15,6 +15,14 @@
 // never observes the push (workers spin forever — the timeout the paper's
 // 30-second limit catches).
 //
+// A lost push is a livelock, not a slow run: once the buffers are drained
+// nothing will ever write Done, Head or Tail again. The empty-queue spin
+// therefore ends each iteration with idle() over those three watched
+// words, and the scheduler reports the Timeout as soon as every worker has
+// spun once through an unchanged queue (DESIGN.md Sec. 20) — typically a
+// few thousand ticks in, instead of at the 250k-tick budget. The verdict
+// is the same either way; only its cost changes.
+//
 //===----------------------------------------------------------------------===//
 
 #include "apps/AppsInternal.h"
@@ -96,7 +104,9 @@ Kernel workerKernel(ThreadContext &Ctx, Addr Buf, Addr Head, Addr Tail,
     co_await Ctx.atomicExch(Mutex, 0, SiteUnlockExch);
 
     if (Task == EmptySlot) {
-      co_await Ctx.yield(3);
+      // Found no work, judging only Done, Head and Tail (watched), and the
+      // lock is released again: a clean idle iteration.
+      co_await Ctx.idle(3);
       continue;
     }
     const unsigned Id = taskId(Task);
@@ -159,6 +169,7 @@ public:
     for (unsigned I = 0; I != RootTasks; ++I)
       Dev.write(Buf + I, packTask(I, true));
     Dev.write(Tail, RootTasks);
+    Dev.watchSpinWords({Done, Head, Tail});
   }
 
   bool run(sim::Device &Dev) override {

@@ -52,6 +52,8 @@
 #include "sim/Types.h"
 #include "support/Rng.h"
 
+#include <initializer_list>
+
 namespace gpuwmm {
 namespace sim {
 
@@ -107,6 +109,16 @@ public:
 
   /// Tick budget per kernel launch (timeout detection).
   void setMaxTicks(uint64_t Ticks) { Sched.MaxTicks = Ticks; }
+  /// Hang watchdog (SchedulerConfig::ProveHangs; on by default).
+  void setProveHangs(bool On) { Sched.ProveHangs = On; }
+
+  /// Declares the words idle() iterations base their "no work" decision
+  /// on (DESIGN.md Sec. 20). Call after allocating them; the marks last
+  /// for this Device's whole execution.
+  void watchSpinWords(std::initializer_list<Addr> Words) {
+    for (Addr A : Words)
+      memory().watchWord(A);
+  }
 
   // --- Memory ----------------------------------------------------------------
 
@@ -126,14 +138,13 @@ public:
     S.setFencePolicy(Policy);
     S.setBuiltinFences(BuiltinFences);
     S.launch(LC, Fn);
-    RunResult Result = S.run();
-    TotalTicks += Result.Ticks;
-    LastStatus = Result.Status;
-    return Result;
+    Last = S.run();
+    TotalTicks += Last.Ticks;
+    return Last;
   }
 
-  /// Status of the most recent launch.
-  RunStatus lastStatus() const { return LastStatus; }
+  /// Result of the most recent launch.
+  const RunResult &lastResult() const { return Last; }
 
   // --- Timing & energy model -----------------------------------------------
 
@@ -178,7 +189,7 @@ private:
   const FencePolicy *Policy = nullptr;
   bool BuiltinFences = true;
   uint64_t TotalTicks = 0;
-  RunStatus LastStatus = RunStatus::Completed;
+  RunResult Last;
 };
 
 } // namespace sim

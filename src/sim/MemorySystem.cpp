@@ -20,6 +20,10 @@ void MemorySystem::reset(const ChipProfile &NewChip) {
   }
   DirtyWords.clear();
   NextFree = 0;
+  for (Addr A : WatchedWords)
+    Watched[A] = 0;
+  WatchedWords.clear();
+  Epoch = 0;
 
   // Rewind every store-buffer queue the previous run touched.
   // TouchedQueues is a superset of ActiveQueues (tick() prunes the latter
@@ -77,8 +81,17 @@ Addr MemorySystem::alloc(unsigned Words) {
     Mem.resize(NextFree, 0);
     MemWriteId.resize(NextFree, 0);
     MemDirty.resize(NextFree, 0);
+    Watched.resize(NextFree, 0);
   }
   return Base;
+}
+
+void MemorySystem::watchWord(Addr A) {
+  assert(A < NextFree && "watching an unallocated word");
+  if (!Watched[A]) {
+    Watched[A] = 1;
+    WatchedWords.push_back(A);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -86,7 +99,7 @@ Addr MemorySystem::alloc(unsigned Words) {
 //===----------------------------------------------------------------------===//
 
 Word MemorySystem::visibleRead(unsigned Block, Addr A) const {
-  assert(A < Mem.size() && "address out of bounds");
+  assert(A < NextFree && "address outside every allocation");
   if (!Overlay.empty()) {
     auto Range = Overlay.equal_range(A);
     for (auto It = Range.first; It != Range.second; ++It)
@@ -98,7 +111,7 @@ Word MemorySystem::visibleRead(unsigned Block, Addr A) const {
 
 Word MemorySystem::visibleReadSrc(unsigned Block, Addr A,
                                   LoadSource &Src) const {
-  assert(A < Mem.size() && "address out of bounds");
+  assert(A < NextFree && "address outside every allocation");
   if (!Overlay.empty()) {
     auto Range = Overlay.equal_range(A);
     for (auto It = Range.first; It != Range.second; ++It)
@@ -112,7 +125,8 @@ Word MemorySystem::visibleReadSrc(unsigned Block, Addr A,
 }
 
 void MemorySystem::atomicWrite(Addr A, Word V) {
-  assert(A < Mem.size() && "address out of bounds");
+  assert(A < NextFree && "address outside every allocation");
+  noteWrite(A);
   markDirty(A);
   Mem[A] = V;
   if (!Overlay.empty())
@@ -120,7 +134,7 @@ void MemorySystem::atomicWrite(Addr A, Word V) {
 }
 
 void MemorySystem::globalWrite(Addr A, Word V, uint64_t StoreId) {
-  assert(A < Mem.size() && "address out of bounds");
+  assert(A < NextFree && "address outside every allocation");
   // Per-location coherence: never step backwards in the store order.
   if (StoreId < MemWriteId[A])
     return;
@@ -136,7 +150,9 @@ void MemorySystem::globalWrite(Addr A, Word V, uint64_t StoreId) {
 //===----------------------------------------------------------------------===//
 
 void MemorySystem::store(unsigned Tid, unsigned Block, Addr A, Word V) {
+  assert(A < NextFree && "address outside every allocation");
   ++Stats.Stores;
+  noteWrite(A);
   if (SeqMode) {
     const uint64_t Id = NextStoreId++;
     globalWrite(A, V, Id);
@@ -175,6 +191,7 @@ void MemorySystem::store(unsigned Tid, unsigned Block, Addr A, Word V) {
 }
 
 Word MemorySystem::load(unsigned Tid, unsigned Block, Addr A) {
+  assert(A < NextFree && "address outside every allocation");
   ++Stats.Loads;
   LoadSource Src = LoadSource::Memory;
   Word V = 0;
@@ -243,6 +260,7 @@ void MemorySystem::applyStore(unsigned Tid, const BufferedStore &E) {
   // Whether the write survives per-location coherence (both branches below
   // apply it under exactly this condition).
   const bool Applied = E.StoreId >= MemWriteId[E.A];
+  noteWrite(E.A);
   if (Sink)
     emit({TraceEventKind::StoreDrain, LoadSource::Memory, Applied, Tid,
           E.Block, bankOf(E.A), E.A, E.V, E.StoreId, 0});
@@ -283,6 +301,7 @@ void MemorySystem::drainQueue(unsigned Tid, unsigned Bank, bool Forced) {
 //===----------------------------------------------------------------------===//
 
 Word MemorySystem::atomicCAS(unsigned Tid, Addr A, Word Compare, Word Value) {
+  assert(A < NextFree && "address outside every allocation");
   ++Stats.Atomics;
   if (!SeqMode) {
     const unsigned Bank = bankOf(A);
@@ -299,6 +318,7 @@ Word MemorySystem::atomicCAS(unsigned Tid, Addr A, Word Compare, Word Value) {
 }
 
 Word MemorySystem::atomicExch(unsigned Tid, Addr A, Word Value) {
+  assert(A < NextFree && "address outside every allocation");
   ++Stats.Atomics;
   if (!SeqMode) {
     const unsigned Bank = bankOf(A);
@@ -314,6 +334,7 @@ Word MemorySystem::atomicExch(unsigned Tid, Addr A, Word Value) {
 }
 
 Word MemorySystem::atomicAdd(unsigned Tid, Addr A, Word Value) {
+  assert(A < NextFree && "address outside every allocation");
   ++Stats.Atomics;
   if (!SeqMode) {
     const unsigned Bank = bankOf(A);
@@ -397,6 +418,7 @@ unsigned MemorySystem::fenceBlock(unsigned Tid, unsigned Block) {
       if (E.BlockVisible)
         continue;
       E.BlockVisible = true;
+      noteWrite(E.A);
       if (Sink)
         emit({TraceEventKind::StorePromote, LoadSource::Memory, false, Tid,
               Block, bankOf(E.A), E.A, E.V, E.StoreId, 0});
@@ -604,12 +626,12 @@ void MemorySystem::drainAll() {
 }
 
 Word MemorySystem::hostRead(Addr A) const {
-  assert(A < Mem.size() && "address out of bounds");
+  assert(A < NextFree && "address outside every allocation");
   return Mem[A];
 }
 
 void MemorySystem::hostWrite(Addr A, Word V) {
-  assert(A < Mem.size() && "address out of bounds");
+  assert(A < NextFree && "address outside every allocation");
   markDirty(A);
   Mem[A] = V;
   MemWriteId[A] = NextStoreId++;

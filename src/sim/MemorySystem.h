@@ -44,6 +44,11 @@
 /// checker (model/ConsistencyChecker.h) validates recorded executions
 /// against the corresponding axioms (DESIGN.md Sec. 14).
 ///
+/// Watched words (DESIGN.md Sec. 20): a kernel's spin loop may declare the
+/// words its "no work" decision rests on; every event that can change
+/// what a load of such a word returns advances a progress epoch, the
+/// memory-side half of the scheduler's hang proof.
+///
 /// Lifecycle (DESIGN.md Sec. 12): a MemorySystem is a reusable engine.
 /// \ref reset rebinds it to a chip and restores the exact observable state
 /// of a freshly constructed instance in O(state touched since the last
@@ -114,6 +119,11 @@ public:
   unsigned allocatedWords() const { return NextFree; }
 
   // --- Thread-facing operations -------------------------------------------
+  //
+  // Addresses must lie inside an allocation (asserted against the current
+  // run's allocations, not the image's capacity): past them lie words a
+  // reused engine sized for earlier runs, or no memory at all, so what an
+  // access there did would depend on the engine's history.
 
   void store(unsigned Tid, unsigned Block, Addr A, Word V);
   Word load(unsigned Tid, unsigned Block, Addr A);
@@ -159,6 +169,17 @@ public:
   bool hasPendingWork() const {
     return !ActiveQueues.empty() || PendingAsyncCount != 0;
   }
+
+  // --- Hang proofs (DESIGN.md Sec. 20) -------------------------------------
+
+  /// Marks \p A as a watched spin word: from now until the next
+  /// \ref reset, every store issue, drain, block-fence promotion and
+  /// writing atomic at \p A advances \ref progressEpoch. The scheduler's
+  /// hang watchdog proves a spin idle by seeing the epoch hold still.
+  void watchWord(Addr A);
+
+  /// Advanced by every write event at a watched word (0 after reset).
+  uint64_t progressEpoch() const { return Epoch; }
 
   /// Synchronously drains everything owned by \p Tid (thread exit,
   /// barrier-free end of kernel for that thread).
@@ -239,6 +260,13 @@ private:
 
   unsigned bankOf(Addr A) const { return Chip->bankOf(A); }
 
+  /// Advances the progress epoch if \p A is watched. Unwatched runs pay
+  /// one predictable branch.
+  void noteWrite(Addr A) {
+    if (!WatchedWords.empty() && Watched[A])
+      ++Epoch;
+  }
+
   /// Records that \p A has been written since the last reset, so reset()
   /// can zero exactly the touched words.
   void markDirty(Addr A) {
@@ -312,6 +340,10 @@ private:
   std::vector<uint8_t> MemDirty;    ///< Written since the last reset.
   std::vector<Addr> DirtyWords;     ///< Addresses to zero on reset.
   unsigned NextFree = 0;
+
+  std::vector<uint8_t> Watched;  ///< Spin words marked by watchWord().
+  std::vector<Addr> WatchedWords; ///< Addresses to unmark on reset.
+  uint64_t Epoch = 0;             ///< See progressEpoch().
 
   std::vector<ThreadBuffers> Buffers;
   std::vector<std::pair<unsigned, unsigned>> ActiveQueues; ///< (tid, bank)

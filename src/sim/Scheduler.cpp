@@ -21,6 +21,7 @@ void Scheduler::Scratch::clear() {
     Ws.clear();
   SMRotor.clear();
   TicketWaiters.clear();
+  IdleMarks.clear();
 }
 
 Scheduler::Scheduler(const ChipProfile &Chip, MemorySystem &Mem, Rng &R,
@@ -117,6 +118,8 @@ void Scheduler::resumeThread(unsigned Tid) {
   if (T.Coro.done()) {
     T.State = ThreadState::Done;
     --Live;
+    if (!S.IdleMarks.empty() && S.IdleMarks[Tid].ProvenEpoch == IdleEpoch)
+      --ProvenIdle;
     BlockState &BS = S.Blocks[T.Block];
     assert(BS.Live > 0);
     --BS.Live;
@@ -144,6 +147,13 @@ RunResult Scheduler::run() {
     }
     if (Now > Config.MaxTicks) {
       Result.Status = RunStatus::Timeout;
+      break;
+    }
+    // Kernels that never call idle() keep ProvenIdle at zero, so the
+    // watchdog costs them this one compare per tick.
+    if (ProvenIdle == Live && hangProven()) {
+      Result.Status = RunStatus::Timeout;
+      Result.HangProven = true;
       break;
     }
 
@@ -333,6 +343,31 @@ void Scheduler::releaseBarrier(unsigned Block) {
 
 void Scheduler::opYield(unsigned Tid, unsigned Ticks) {
   sleep(S.Threads[Tid], std::max(1u, Ticks));
+}
+
+void Scheduler::opIdle(unsigned Tid, unsigned Ticks) {
+  if (Config.ProveHangs) {
+    if (S.IdleMarks.empty())
+      S.IdleMarks.resize(S.Threads.size());
+    Scratch::IdleMark &M = S.IdleMarks[Tid];
+    const uint64_t Epoch = Mem.progressEpoch();
+    if (Epoch != IdleEpoch) {
+      // A watched word changed: every earlier proof is void.
+      IdleEpoch = Epoch;
+      ProvenIdle = 0;
+    }
+    if (M.SeenEpoch == Epoch && M.ProvenEpoch != Epoch) {
+      M.ProvenEpoch = Epoch;
+      ++ProvenIdle;
+    }
+    M.SeenEpoch = Epoch;
+  }
+  opYield(Tid, Ticks);
+}
+
+bool Scheduler::hangProven() const {
+  return IdleEpoch == Mem.progressEpoch() && !Mem.hasPendingWork() &&
+         S.TicketWaiters.empty();
 }
 
 void Scheduler::opFault(unsigned Tid) {

@@ -11,7 +11,8 @@
 /// execution tick by tick. Implements CUDA barriers (with divergence
 /// detection), per-site fence policies, and the thread-randomisation
 /// heuristic of the paper's Sec. 3.5 (permuted block placement plus warp
-/// scheduling jitter, always honouring warp and block membership).
+/// scheduling jitter, always honouring warp and block membership), and a
+/// hang watchdog that ends provably livelocked runs early (Sec. 20).
 ///
 /// The scheduler's launch-lifetime containers live in a Scheduler::Scratch
 /// that can be supplied by an ExecutionContext: the scheduler clears it
@@ -57,6 +58,12 @@ struct SchedulerConfig {
   /// Tick budget; exceeding it reports RunStatus::Timeout (the analogue of
   /// the paper's 30-second wall-clock timeout).
   uint64_t MaxTicks = 400000;
+  /// Hang watchdog (DESIGN.md Sec. 20): report Timeout as soon as every
+  /// live thread provably spins idle forever, instead of paying the rest
+  /// of the budget. Verdicts are identical either way; only kernels that
+  /// call ThreadContext::idle() can trigger it. Off only in the on/off
+  /// identity tests.
+  bool ProveHangs = true;
 };
 
 /// Executes one kernel launch to completion.
@@ -88,6 +95,16 @@ public:
       unsigned PendingFenceStage = 0;
     };
 
+    /// A thread's hang-proof marks (DESIGN.md Sec. 20): the memory
+    /// progress epoch at its latest idle() (none yet: ~0), and the epoch
+    /// in which it last completed a whole idle-to-idle iteration. Kept
+    /// apart from SimThread, and created only by a launch's first idle(),
+    /// so kernels that never idle do not carry them through every tick.
+    struct IdleMark {
+      uint64_t SeenEpoch = ~0ull;
+      uint64_t ProvenEpoch = ~0ull;
+    };
+
     struct Warp {
       unsigned FirstTid = 0;
       unsigned NumThreads = 0;
@@ -108,6 +125,7 @@ public:
     std::vector<std::vector<Warp>> SMWarps; ///< Warps resident on each SM.
     std::vector<unsigned> SMRotor;          ///< Round-robin start per SM.
     std::vector<unsigned> TicketWaiters;
+    std::vector<IdleMark> IdleMarks; ///< Per thread; empty until an idle().
 
     /// Destroys launch state (coroutines included), keeping capacity.
     void clear();
@@ -149,6 +167,7 @@ public:
   void opAsyncWait(unsigned Tid, unsigned Ticket);
   void opBarrier(unsigned Tid);
   void opYield(unsigned Tid, unsigned Ticks);
+  void opIdle(unsigned Tid, unsigned Ticks);
   void opFault(unsigned Tid);
 
   Word retVal(unsigned Tid) const;
@@ -170,6 +189,11 @@ private:
   void releaseBarrier(unsigned Block);
   bool threadEligible(const SimThread &T) const;
 
+  /// The hang proof's slow half, consulted once every live thread has
+  /// completed a clean idle iteration: the count is current, memory is
+  /// quiescent and nobody waits on an async load.
+  bool hangProven() const;
+
   const ChipProfile &Chip;
   MemorySystem &Mem;
   Rng &R;
@@ -184,6 +208,11 @@ private:
   LaunchConfig Launch;
   uint64_t Now = 0;
   unsigned Live = 0;
+  /// Live threads whose IdleMark::ProvenEpoch equals \ref IdleEpoch:
+  /// they finished a whole idle-to-idle iteration with no watched write
+  /// in between.
+  unsigned ProvenIdle = 0;
+  uint64_t IdleEpoch = 0;
   bool FaultFlag = false;
   bool DivergenceFlag = false;
 };

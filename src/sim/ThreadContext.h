@@ -132,6 +132,19 @@ public:
     return {this};
   }
 
+  /// Ends an iteration of a spin loop that found no work: sleeps exactly
+  /// as yield(\p Ticks) does and draws no randomness. Calling it declares
+  /// that the iteration's "no work" decision rested only on words the
+  /// application watches (Device::watchSpinWords), and that every other
+  /// word it wrote (a queue lock, say) was restored before this call.
+  /// Under that contract the scheduler ends a run whose every live thread
+  /// spins through such iterations with nothing left to change a watched
+  /// word as a proven-hang Timeout (DESIGN.md Sec. 20).
+  OpAwait idle(unsigned Ticks) {
+    Sched.opIdle(Tid, Ticks);
+    return {this};
+  }
+
   /// Signals a kernel-detected invariant violation; the kernel should
   /// co_return immediately afterwards.
   void fault() { Sched.opFault(Tid); }

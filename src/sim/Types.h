@@ -53,7 +53,8 @@ struct MemStats {
 /// How a simulated kernel execution ended.
 enum class RunStatus {
   Completed,        ///< All threads ran to completion.
-  Timeout,          ///< Tick budget exceeded (cf. the paper's 30s timeout).
+  Timeout,          ///< Tick budget exceeded (cf. the paper's 30s timeout),
+                    ///< or provably would be (RunResult::HangProven).
   BarrierDivergence,///< Barrier executed under divergence (UB in CUDA).
   Deadlock,         ///< No thread could ever make progress again.
   KernelFault       ///< A kernel signalled an internal invariant violation.
@@ -62,8 +63,13 @@ enum class RunStatus {
 /// Result of one kernel execution.
 struct RunResult {
   RunStatus Status = RunStatus::Completed;
+  /// Ticks simulated. A proven hang stops at the tick of its proof.
   uint64_t Ticks = 0;
   MemStats Mem;
+  /// A Timeout the scheduler proved at tick \ref Ticks, ahead of the tick
+  /// budget: every live thread was spinning idle on watched words that no
+  /// future event could change (DESIGN.md Sec. 20).
+  bool HangProven = false;
 
   bool completed() const { return Status == RunStatus::Completed; }
 };

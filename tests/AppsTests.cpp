@@ -170,14 +170,24 @@ TEST(AppFindingsTest, BuiltinFenceFlags) {
 
 TEST(AppFindingsTest, TpoTmCanTimeOut) {
   // Weak behaviour can affect termination (the paper's 30s timeout):
-  // tpo-tm occasionally livelocks until the tick budget under stress.
+  // under stress a lost push leaves tpo-tm's workers spinning on an empty
+  // queue forever. The hang watchdog must prove every such livelock early
+  // (DESIGN.md Sec. 20) rather than let it run to the 250k-tick budget: a
+  // change that silently stops the proof firing fails here.
   unsigned Timeouts = 0;
   Rng Master(808);
-  for (unsigned I = 0; I != 120 && Timeouts == 0; ++I) {
-    const AppVerdict V = runApplicationOnce(
-        AppKind::TpoTm, titan(), SysPlus, tunedTitan(), nullptr,
-        Master.fork(I).next());
-    Timeouts += V == AppVerdict::Timeout;
+  sim::ExecutionContext Ctx;
+  for (unsigned I = 0; I != 60; ++I) {
+    sim::RunResult Last;
+    const AppVerdict V =
+        runApplicationOnce(Ctx, AppKind::TpoTm, titan(), SysPlus, tunedTitan(),
+                           nullptr, Master.fork(I).next(), false, &Last);
+    if (V != AppVerdict::Timeout)
+      continue;
+    ++Timeouts;
+    EXPECT_EQ(Last.Status, sim::RunStatus::Timeout) << "run " << I;
+    EXPECT_TRUE(Last.HangProven) << "run " << I;
+    EXPECT_LT(Last.Ticks, 10000u) << "run " << I;
   }
   EXPECT_GT(Timeouts, 0u);
 }

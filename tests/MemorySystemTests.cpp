@@ -540,3 +540,60 @@ TEST_F(MemoryFixture, ResetStateIsIndistinguishableFromFresh) {
 
   EXPECT_EQ(Drive(Reused), Drive(Fresh));
 }
+
+//===----------------------------------------------------------------------===//
+// Watched spin words (DESIGN.md Sec. 20)
+//===----------------------------------------------------------------------===//
+
+TEST_F(MemoryFixture, WatchedWriteEventsAdvanceTheProgressEpoch) {
+  const Addr A = Mem.alloc(4);
+  Mem.watchWord(A);
+  uint64_t Epoch = Mem.progressEpoch();
+  const auto Advanced = [&] {
+    const bool Moved = Mem.progressEpoch() != Epoch;
+    Epoch = Mem.progressEpoch();
+    return Moved;
+  };
+
+  Mem.load(0, 0, A);
+  Mem.atomicCAS(0, A, /*Compare=*/9, /*Value=*/1); // Fails: reads only.
+  EXPECT_FALSE(Advanced()) << "reads never count as progress";
+
+  Mem.store(0, 0, A, 1);
+  EXPECT_TRUE(Advanced()) << "store issue";
+  Mem.fenceBlock(0, 0);
+  EXPECT_TRUE(Advanced()) << "block-fence promotion";
+  Mem.drainAll();
+  EXPECT_TRUE(Advanced()) << "drain";
+  Mem.atomicExch(1, A, 1); // Writes, even though the value is unchanged.
+  EXPECT_TRUE(Advanced()) << "writing atomic";
+}
+
+TEST_F(MemoryFixture, UnwatchedWritesLeaveTheEpochAlone) {
+  const Addr A = Mem.alloc(4);
+  const Addr B = Mem.alloc(4);
+  Mem.store(0, 0, A, 1);
+  Mem.atomicAdd(1, A + 1, 1);
+  EXPECT_EQ(Mem.progressEpoch(), 0u) << "nothing watched yet";
+
+  Mem.watchWord(B);
+  Mem.store(0, 0, A + 2, 1);
+  Mem.fenceBlock(0, 0);
+  Mem.drainAll();
+  Mem.atomicAdd(1, A + 1, 1);
+  EXPECT_EQ(Mem.progressEpoch(), 0u);
+}
+
+TEST_F(MemoryFixture, ResetForgetsWatchedWords) {
+  const Addr A = Mem.alloc(4);
+  Mem.watchWord(A);
+  Mem.atomicAdd(0, A, 1);
+  ASSERT_GT(Mem.progressEpoch(), 0u);
+
+  Mem.reset(titan());
+  EXPECT_EQ(Mem.progressEpoch(), 0u);
+  const Addr B = Mem.alloc(4);
+  ASSERT_EQ(B, A);
+  Mem.atomicAdd(0, B, 1);
+  EXPECT_EQ(Mem.progressEpoch(), 0u) << "the mark must not outlive reset";
+}

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <thread>
 
 using namespace gpuwmm;
 
@@ -368,6 +369,45 @@ TEST(CampaignTest, CellSeedsIgnoreSelectionOrder) {
       }
 }
 
+TEST(CampaignTest, OracleVerdictsIgnoreEarlierCells) {
+  // A cell's verdicts may not depend on which cells ran before it on the
+  // same worker. This grid once reported an oracle violation in
+  // 980/sys-str+/ls-bh only after the other environments had run: a
+  // corrupt tree sent ls-bh's summarise kernel past its arrays, and
+  // what a load there returned depended on the engine's history.
+  harness::CampaignConfig Config;
+  Config.Chips = {&chip("980")};
+  Config.Apps = {apps::AppKind::LsBh};
+  Config.Runs = 40;
+  Config.Seed = 3962275172863723460ull;
+  Config.OracleEvery = 1;
+  const stress::Environment SysPlus{stress::StressKind::Sys, true};
+
+  // Each campaign runs on a thread of its own, so each starts from a
+  // fresh thread-local context pool, as a fresh process would.
+  const auto RunOnFreshThread = [](const harness::CampaignConfig &C) {
+    harness::CampaignReport Report;
+    std::thread([&] { Report = harness::runCampaign(C); }).join();
+    return Report;
+  };
+  const auto &AllEnvs = stress::Environment::all();
+  Config.Envs.assign(AllEnvs.begin(), AllEnvs.end());
+  const auto AfterAll = RunOnFreshThread(Config);
+  Config.Envs = {SysPlus};
+  const auto Alone = RunOnFreshThread(Config);
+
+  ASSERT_EQ(Alone.Cells.size(), 1u);
+  const harness::CampaignCell *Later = nullptr;
+  for (const harness::CampaignCell &Cell : AfterAll.Cells)
+    if (Cell.Env.Kind == SysPlus.Kind && Cell.Env.Randomise)
+      Later = &Cell;
+  ASSERT_NE(Later, nullptr);
+  EXPECT_EQ(Alone.Cells[0].Result, Later->Result);
+  EXPECT_EQ(Alone.Cells[0].OracleChecked, Later->OracleChecked);
+  EXPECT_EQ(Alone.Cells[0].OracleViolations, Later->OracleViolations);
+  EXPECT_EQ(Later->OracleViolations, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Golden regression: a pinned Tab. 5 sub-grid
 //===----------------------------------------------------------------------===//
@@ -460,6 +500,66 @@ TEST(GoldenCampaignTest, EngineJobsAndBatchWidthGridIsInvariant) {
   }
   sim::setDefaultBatchWidth(0);
   sim::setEngineMode(sim::EngineMode::Auto);
+}
+
+TEST(GoldenCampaignTest, TpoTmWatchdogLeavesReportsByteIdentical) {
+  // The hang watchdog (DESIGN.md Sec. 20) changes what a hung run costs,
+  // never what it reports. tpo-tm on both chips under every environment,
+  // 40 runs at seed 42: these counts were generated before the watchdog
+  // existed, with every hung run simulated to the full tick budget:
+  //   gpuwmm campaign --chips=titan,980 --apps=tpo-tm --runs=40 --seed=42
+  // The rest of a cell (chip, env, app, runs, effective, engine) and the
+  // summaries follow from the grid and these counts, so matching them at
+  // 1 and 4 jobs, with identical bytes at both, is byte identity with
+  // that report.
+  harness::CampaignConfig Config;
+  Config.Chips = {&chip("titan"), &chip("980")};
+  const auto &AllEnvs = stress::Environment::all();
+  Config.Envs.assign(AllEnvs.begin(), AllEnvs.end());
+  Config.Apps = {apps::AppKind::TpoTm};
+  Config.Runs = 40;
+  Config.Seed = 42;
+
+  struct Golden {
+    const char *Chip;
+    const char *Env;
+    unsigned Errors;
+    unsigned Timeouts;
+  };
+  const Golden Expected[] = {
+      {"titan", "no-str-", 0, 0},    {"titan", "no-str+", 0, 0},
+      {"titan", "sys-str-", 33, 33}, {"titan", "sys-str+", 29, 29},
+      {"titan", "rand-str-", 10, 10}, {"titan", "rand-str+", 8, 8},
+      {"titan", "cache-str-", 3, 3}, {"titan", "cache-str+", 1, 1},
+      {"980", "no-str-", 0, 0},      {"980", "no-str+", 0, 0},
+      {"980", "sys-str-", 23, 23},   {"980", "sys-str+", 31, 31},
+      {"980", "rand-str-", 6, 6},    {"980", "rand-str+", 15, 15},
+      {"980", "cache-str-", 0, 0},   {"980", "cache-str+", 0, 0},
+  };
+
+  std::string Reference;
+  for (unsigned Jobs : {1u, 4u}) {
+    ThreadPool Pool(Jobs);
+    const auto Report = harness::runCampaign(Config, &Pool);
+    ASSERT_EQ(Report.Cells.size(), std::size(Expected));
+    for (size_t I = 0; I != Report.Cells.size(); ++I) {
+      const harness::CampaignCell &Cell = Report.Cells[I];
+      const Golden &G = Expected[I];
+      ASSERT_STREQ(Cell.Chip->ShortName, G.Chip);
+      ASSERT_EQ(Cell.Env.name(), G.Env);
+      EXPECT_EQ(Cell.Result.Runs, Config.Runs);
+      EXPECT_EQ(Cell.Result.Errors, G.Errors)
+          << G.Chip << " under " << G.Env << ", jobs=" << Jobs;
+      EXPECT_EQ(Cell.Result.Timeouts, G.Timeouts)
+          << G.Chip << " under " << G.Env << ", jobs=" << Jobs;
+    }
+    std::ostringstream Json;
+    harness::writeCampaignJson(Report, Json);
+    if (Reference.empty())
+      Reference = Json.str();
+    else
+      EXPECT_EQ(Json.str(), Reference) << "jobs=" << Jobs;
+  }
 }
 
 } // namespace

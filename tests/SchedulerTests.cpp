@@ -5,16 +5,19 @@
 //
 // Tests kernel execution end to end through the Device facade: thread
 // identifiers, barriers (including divergence detection), timeouts,
-// faults, delayed policy fences, determinism and thread randomisation.
+// faults, delayed policy fences, determinism and thread randomisation,
+// and the hang watchdog's proofs over idle() spins (DESIGN.md Sec. 20).
 //
 //===----------------------------------------------------------------------===//
 
+#include "model/StreamingChecker.h"
 #include "sim/Device.h"
 #include "sim/ThreadContext.h"
 
 #include "gtest/gtest.h"
 
 #include <set>
+#include <vector>
 
 using namespace gpuwmm;
 using namespace gpuwmm::sim;
@@ -127,7 +130,7 @@ TEST(SchedulerTest, TimeoutIsDetected) {
     return spinForeverKernel(Ctx, Flag);
   });
   EXPECT_EQ(R.Status, RunStatus::Timeout);
-  EXPECT_EQ(Dev.lastStatus(), RunStatus::Timeout);
+  EXPECT_EQ(Dev.lastResult().Status, RunStatus::Timeout);
 }
 
 TEST(SchedulerTest, KernelFaultIsReported) {
@@ -306,4 +309,283 @@ TEST(SchedulerTest, EnergyValidityTracksPowerInstrumentation) {
     });
     EXPECT_EQ(Dev.energy().Valid, Chips[I].SupportsPowerQuery);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Hang proofs (DESIGN.md Sec. 20)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A synthetic spin: producers publish to watched words, then every thread
+/// waits until each word reaches its target, rechecking (optionally under
+/// a lock it restores) and ending each fruitless iteration with idle().
+/// A lost publication, or a racy plain-store counter increment that loses
+/// an update, leaves the spin hung.
+struct SpinShape {
+  static constexpr unsigned MaxWatched = 3;
+  unsigned GridDim = 1;
+  unsigned BlockDim = 8;
+  unsigned Producers = 1;
+  unsigned NumWatched = 1;
+  /// Per word: a counter every producer increments (target Producers), or
+  /// a flag its owner producer (K % Producers) sets (target 1).
+  bool Counter[MaxWatched] = {};
+  /// Per word: publish with an atomic rather than a plain store (for a
+  /// counter, plain means a racy load + store increment).
+  bool Atomic[MaxWatched] = {};
+  int LostWord = -1; ///< The publication that never happens (-1: none).
+  int LostProducer = -1;
+  bool Lock = false; ///< Recheck under a (restored) spinlock.
+  unsigned IdleTicks = 1;
+  unsigned ComputeTicks = 1; ///< Producer P publishes after 1 + P * this.
+  bool Randomise = false;
+  bool Maxwell = false;
+  bool Congested = false; ///< Saturate every bank: stores linger.
+
+  Word target(unsigned K) const { return Counter[K] ? Producers : 1; }
+};
+
+/// Maximal pressure on every bank: drains fall to the chip's floor, so
+/// publications sit in store buffers while the spinners iterate.
+class SaturatedBanks final : public CongestionSource {
+public:
+  BankPressure pressureAt(uint64_t, unsigned) const override {
+    return {1000.0, 1000.0};
+  }
+};
+
+struct SpinAddrs {
+  Addr Watched;
+  Addr Lock;
+  Addr Out;
+};
+
+Kernel spinShapeKernel(ThreadContext &Ctx, SpinShape Sh, SpinAddrs M) {
+  const unsigned Tid = Ctx.globalId();
+  if (Tid < Sh.Producers) {
+    co_await Ctx.yield(1 + Tid * Sh.ComputeTicks);
+    for (unsigned K = 0; K != Sh.NumWatched; ++K) {
+      if (static_cast<int>(K) == Sh.LostWord &&
+          static_cast<int>(Tid) == Sh.LostProducer)
+        continue;
+      const Addr W = M.Watched + K;
+      if (!Sh.Counter[K]) {
+        if (Tid != K % Sh.Producers)
+          continue;
+        if (Sh.Atomic[K])
+          co_await Ctx.atomicExch(W, 1);
+        else
+          co_await Ctx.st(W, 1);
+      } else if (Sh.Atomic[K]) {
+        co_await Ctx.atomicAdd(W, 1);
+      } else {
+        const Word Old = co_await Ctx.ld(W);
+        co_await Ctx.st(W, Old + 1);
+      }
+    }
+  }
+  Word Sum = 0;
+  for (;;) {
+    if (Sh.Lock) {
+      for (;;) {
+        const Word Held = co_await Ctx.atomicCAS(M.Lock, 0, 1);
+        if (Held == 0)
+          break;
+        co_await Ctx.yield(1 + static_cast<unsigned>(Ctx.rand(3)));
+      }
+    }
+    bool Ready = true;
+    Sum = 0;
+    for (unsigned K = 0; K != Sh.NumWatched; ++K) {
+      const Word V = co_await Ctx.ld(M.Watched + K);
+      Sum += V;
+      Ready &= V >= Sh.target(K);
+    }
+    if (Sh.Lock)
+      co_await Ctx.atomicExch(M.Lock, 0);
+    if (Ready)
+      break;
+    co_await Ctx.idle(Sh.IdleTicks);
+  }
+  co_await Ctx.st(M.Out + Tid, Sum);
+}
+
+SpinShape randomSpinShape(Rng &G) {
+  SpinShape Sh;
+  Sh.GridDim = 1 + static_cast<unsigned>(G.below(2));
+  Sh.BlockDim = 2 + static_cast<unsigned>(G.below(39));
+  Sh.Producers = 1 + static_cast<unsigned>(
+                         G.below(std::min(3u, Sh.GridDim * Sh.BlockDim)));
+  Sh.NumWatched = 1 + static_cast<unsigned>(G.below(SpinShape::MaxWatched));
+  for (unsigned K = 0; K != Sh.NumWatched; ++K) {
+    Sh.Counter[K] = G.chance(0.5);
+    Sh.Atomic[K] = G.chance(0.5);
+  }
+  if (G.chance(0.4)) {
+    const unsigned K = static_cast<unsigned>(G.below(Sh.NumWatched));
+    Sh.LostWord = static_cast<int>(K);
+    Sh.LostProducer = static_cast<int>(
+        Sh.Counter[K] ? G.below(Sh.Producers) : K % Sh.Producers);
+  }
+  Sh.Lock = G.chance(0.5);
+  Sh.IdleTicks = 1 + static_cast<unsigned>(G.below(4));
+  Sh.ComputeTicks = static_cast<unsigned>(G.below(40));
+  Sh.Randomise = G.chance(0.5);
+  Sh.Maxwell = G.chance(0.5);
+  Sh.Congested = G.chance(0.5);
+  return Sh;
+}
+
+/// One execution of \p Sh: its result plus the final memory image.
+struct SpinRun {
+  RunResult Result;
+  std::vector<Word> Memory;
+};
+
+SpinRun runSpinShape(const SpinShape &Sh, uint64_t Seed, bool ProveHangs,
+                     uint64_t MaxTicks, ExecutionContext &Ctx) {
+  const ChipProfile &Chip = *ChipProfile::lookup(Sh.Maxwell ? "980" : "titan");
+  Device Dev(Ctx, Chip, Seed);
+  Dev.setProveHangs(ProveHangs);
+  Dev.setRandomiseThreads(Sh.Randomise);
+  Dev.setMaxTicks(MaxTicks);
+  const SaturatedBanks Saturated;
+  if (Sh.Congested)
+    Dev.setCongestionSource(&Saturated);
+  const SpinAddrs M{Dev.alloc(SpinShape::MaxWatched), Dev.alloc(1),
+                    Dev.alloc(Sh.GridDim * Sh.BlockDim)};
+  for (unsigned K = 0; K != Sh.NumWatched; ++K)
+    Dev.watchSpinWords({M.Watched + K});
+  SpinRun Run;
+  Run.Result =
+      Dev.run({Sh.GridDim, Sh.BlockDim}, [=](ThreadContext &C) -> Kernel {
+        return spinShapeKernel(C, Sh, M);
+      });
+  for (Addr A = 0; A != Dev.memory().allocatedWords(); ++A)
+    Run.Memory.push_back(Dev.read(A));
+  return Run;
+}
+
+void expectSameStats(const MemStats &A, const MemStats &B) {
+  EXPECT_EQ(A.Loads, B.Loads);
+  EXPECT_EQ(A.Stores, B.Stores);
+  EXPECT_EQ(A.Atomics, B.Atomics);
+  EXPECT_EQ(A.DeviceFences, B.DeviceFences);
+  EXPECT_EQ(A.BlockFences, B.BlockFences);
+  EXPECT_EQ(A.DrainedStores, B.DrainedStores);
+  EXPECT_EQ(A.AsyncLoads, B.AsyncLoads);
+  EXPECT_EQ(A.ForcedSelfDrains, B.ForcedSelfDrains);
+}
+
+} // namespace
+
+TEST(HangProofTest, LostFlagSpinIsProvenEarly) {
+  SpinShape Sh;
+  Sh.BlockDim = 32;
+  Sh.Lock = true;
+  Sh.LostWord = 0;
+  Sh.LostProducer = 0;
+  ExecutionContext Ctx;
+  const SpinRun On = runSpinShape(Sh, 5, /*ProveHangs=*/true, 100000, Ctx);
+  EXPECT_EQ(On.Result.Status, RunStatus::Timeout);
+  EXPECT_TRUE(On.Result.HangProven);
+  EXPECT_LT(On.Result.Ticks, 5000u) << "a few idle iterations suffice";
+
+  const SpinRun Off = runSpinShape(Sh, 5, /*ProveHangs=*/false, 100000, Ctx);
+  EXPECT_EQ(Off.Result.Status, RunStatus::Timeout);
+  EXPECT_FALSE(Off.Result.HangProven);
+  EXPECT_EQ(Off.Result.Ticks, 100001u) << "the budget is paid in full";
+}
+
+TEST(HangProofTest, SpinWithoutIdleIsNeverProven) {
+  // spinForeverKernel yields rather than idles: no proof, full budget.
+  Device Dev(titan(), 1);
+  Dev.setMaxTicks(2000);
+  const Addr Flag = Dev.alloc(1);
+  Dev.watchSpinWords({Flag});
+  const RunResult R = Dev.run({1, 8}, [=](ThreadContext &Ctx) -> Kernel {
+    return spinForeverKernel(Ctx, Flag);
+  });
+  EXPECT_EQ(R.Status, RunStatus::Timeout);
+  EXPECT_FALSE(R.HangProven);
+  EXPECT_EQ(R.Ticks, 2001u);
+}
+
+TEST(HangProofTest, RandomSpinShapesMatchWithWatchdogOnAndOff) {
+  // The property behind DESIGN.md Sec. 20: the watchdog changes a run's
+  // cost, never its outcome. Random spin shapes (thread counts, watched
+  // flag/counter sets, lost or racy publications, a lock inside the idle
+  // iteration, placement randomisation, both chip generations, saturated
+  // banks that keep publications buffered while spinners iterate) must give
+  // the same status with the watchdog on and off, and completing runs
+  // must agree in final memory, ticks and memory statistics.
+  constexpr uint64_t Budget = 20000;
+  Rng G(20161017);
+  ExecutionContext Ctx;
+  unsigned Completed = 0, Proven = 0;
+  for (unsigned I = 0; I != 120; ++I) {
+    const SpinShape Sh = randomSpinShape(G);
+    const uint64_t Seed = G.next();
+    SCOPED_TRACE(::testing::Message() << "shape " << I);
+    const SpinRun On = runSpinShape(Sh, Seed, true, Budget, Ctx);
+    const SpinRun Off = runSpinShape(Sh, Seed, false, Budget, Ctx);
+    ASSERT_EQ(On.Result.Status, Off.Result.Status);
+    EXPECT_FALSE(Off.Result.HangProven);
+    if (On.Result.Status == RunStatus::Completed) {
+      ++Completed;
+      EXPECT_FALSE(On.Result.HangProven);
+      EXPECT_EQ(On.Result.Ticks, Off.Result.Ticks);
+      expectSameStats(On.Result.Mem, Off.Result.Mem);
+      EXPECT_EQ(On.Memory, Off.Memory);
+      continue;
+    }
+    ASSERT_EQ(On.Result.Status, RunStatus::Timeout);
+    Proven += On.Result.HangProven;
+    if (On.Result.HangProven) {
+      EXPECT_LT(On.Result.Ticks, Off.Result.Ticks);
+    }
+  }
+  // Neither half of the property may be vacuous.
+  EXPECT_GT(Completed, 20u);
+  EXPECT_GT(Proven, 20u);
+}
+
+TEST(HangProofTest, OracleVerdictIsTheSameWithWatchdogOnAndOff) {
+  // A checked hang: the streaming oracle sees a shorter event stream when
+  // the watchdog cuts the run, and its verdict must not change. Small
+  // grids and budget: every load of a never-written word stays live in
+  // the oracle's frontier, so checked spins get dearer with length.
+  constexpr uint64_t Budget = 1200;
+  Rng G(77);
+  unsigned Checked = 0;
+  for (unsigned I = 0; I != 30; ++I) {
+    SpinShape Sh = randomSpinShape(G);
+    Sh.GridDim = 1;
+    Sh.BlockDim = std::min(Sh.BlockDim, 8u);
+    Sh.Producers = std::min(Sh.Producers, Sh.BlockDim);
+    Sh.LostWord = 0; // Word 0's flag owner, or one of its incrementers.
+    Sh.LostProducer = 0;
+    const uint64_t Seed = G.next();
+    model::StreamVerdict Verdicts[2];
+    RunResult Results[2];
+    for (int Watch = 0; Watch != 2; ++Watch) {
+      ExecutionContext Ctx;
+      model::StreamingChecker Checker;
+      Checker.begin();
+      Ctx.requestStreaming(&Checker);
+      Results[Watch] = runSpinShape(Sh, Seed, Watch == 1, Budget, Ctx).Result;
+      Verdicts[Watch] = Checker.finish();
+    }
+    SCOPED_TRACE(::testing::Message() << "shape " << I);
+    ASSERT_EQ(Results[0].Status, RunStatus::Timeout);
+    ASSERT_EQ(Results[1].Status, RunStatus::Timeout);
+    EXPECT_TRUE(Results[1].HangProven);
+    EXPECT_EQ(Verdicts[0].AxiomsOk, Verdicts[1].AxiomsOk)
+        << Verdicts[0].AxiomViolation << " / " << Verdicts[1].AxiomViolation;
+    EXPECT_EQ(Verdicts[0].weak(), Verdicts[1].weak());
+    EXPECT_TRUE(Verdicts[1].AxiomsOk) << Verdicts[1].AxiomViolation;
+    ++Checked;
+  }
+  EXPECT_EQ(Checked, 30u);
 }

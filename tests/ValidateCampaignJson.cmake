@@ -4,10 +4,44 @@
 #
 # Usage:
 #   cmake -DGPUWMM_BIN=<path-to-gpuwmm> -DOUT=<scratch.json>
-#         -P ValidateCampaignJson.cmake
+#         [-DMODE=tpo_hang] -P ValidateCampaignJson.cmake
+#
+# MODE=tpo_hang instead runs tpo-tm on both chips under every environment
+# and requires hung runs to be reported (timeouts > 0): its CTest TIMEOUT
+# only holds while the hang watchdog ends those runs early.
 
 if(NOT GPUWMM_BIN OR NOT OUT)
   message(FATAL_ERROR "pass -DGPUWMM_BIN=... and -DOUT=...")
+endif()
+
+if(MODE STREQUAL "tpo_hang")
+  execute_process(
+    COMMAND "${GPUWMM_BIN}" campaign --chips=titan,980 --apps=tpo-tm
+            --runs=10 --seed=3 --jobs=2 "--out=${OUT}"
+    RESULT_VARIABLE RV)
+  if(NOT RV EQUAL 0)
+    message(FATAL_ERROR "gpuwmm campaign exited with ${RV}")
+  endif()
+  file(READ "${OUT}" REPORT)
+  string(JSON NCELLS LENGTH "${REPORT}" cells)
+  if(NOT NCELLS EQUAL 16) # 2 chips * 8 envs * 1 app
+    message(FATAL_ERROR "expected 16 cells, got ${NCELLS}")
+  endif()
+  set(TIMEOUTS 0)
+  math(EXPR LAST "${NCELLS} - 1")
+  foreach(I RANGE ${LAST})
+    string(JSON CERRS GET "${REPORT}" cells ${I} errors)
+    string(JSON CTIMEOUTS GET "${REPORT}" cells ${I} timeouts)
+    if(CTIMEOUTS GREATER CERRS)
+      message(FATAL_ERROR "cell ${I}: timeouts ${CTIMEOUTS} > errors ${CERRS}")
+    endif()
+    math(EXPR TIMEOUTS "${TIMEOUTS} + ${CTIMEOUTS}")
+  endforeach()
+  if(NOT TIMEOUTS GREATER 0)
+    message(FATAL_ERROR "tpo-tm must time out somewhere in the grid")
+  endif()
+  message(STATUS "tpo-tm campaign valid: ${TIMEOUTS} timeouts in ${NCELLS} cells")
+  return()
 endif()
 
 set(CHIPS titan k20)
