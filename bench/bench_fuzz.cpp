@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/ProgramFuzzer.h"
+#include "harden/LitmusHarden.h"
 #include "support/Options.h"
 #include "support/Table.h"
 
@@ -46,14 +47,17 @@ int main(int Argc, char **Argv) {
   unsigned FencedViolations = 0;
 
   for (unsigned I = 0; I != Programs; ++I) {
-    const fuzz::Program P = fuzz::Program::generate(Gen, 3, 5, false);
+    const litmus::Program P = fuzz::generateProgram(Gen, 3, 5, false);
+    const litmus::Program FullyFenced = harden::applyLitmusFences(
+        P, sim::FencePolicy::all(static_cast<unsigned>(
+               harden::litmusFenceSites(P).size())));
     const auto Native =
         fuzz::fuzzProgram(P, *Chip, Runs, Rng::deriveStream(Seed, 2 * I),
                           /*Stressed=*/false);
     const auto Stressed =
         fuzz::fuzzProgram(P, *Chip, Runs, Rng::deriveStream(Seed, 2 * I),
                           /*Stressed=*/true);
-    const auto Fenced = fuzz::fuzzProgram(P.fullyFenced(), *Chip,
+    const auto Fenced = fuzz::fuzzProgram(FullyFenced, *Chip,
                                           /*Runs=*/8,
                                           Rng::deriveStream(Seed, 2 * I + 1), true);
     NativeWeakProgs += Native.WeakOutcomes > 0;
@@ -69,11 +73,11 @@ int main(int Argc, char **Argv) {
             std::to_string(NativeWeakProgs) + "/" +
                 std::to_string(Programs),
             std::to_string(NativeWeakRuns)});
-  T.addRow({"tuned stress (sys-str+)",
+  T.addRow({"tuned stress (bank regions)",
             std::to_string(StressedWeakProgs) + "/" +
                 std::to_string(Programs),
             std::to_string(StressedWeakRuns)});
-  T.addRow({"fully fenced + sys-str+", "0/" + std::to_string(Programs),
+  T.addRow({"fully fenced + tuned stress", "0/" + std::to_string(Programs),
             std::to_string(FencedViolations) + " (must be 0)"});
   T.print(std::cout);
 

@@ -5,9 +5,9 @@
 //
 // Measures the `gpuwmm hunt` pipeline (DESIGN.md Sec. 18) in programs/s:
 //
-//  * fuzz-batch: the hunt's fuzz stage alone — fuzzBatch on the compiled
-//    batch engine, the throughput every hunt round pays per generated
-//    program. This is the guarded arm: with a baseline JSON supplied
+//  * fuzz-batch: the hunt's fuzz stage alone — fuzzBatch through
+//    LitmusRunner's batched engine, the throughput every hunt round pays
+//    per generated program. This is the guarded arm: with a baseline JSON supplied
 //    (--baseline=FILE or GPUWMM_BENCH_BASELINE) a fuzz_programs_per_sec
 //    regression beyond 2% hard-fails, keeping the mining loop's dominant
 //    stage honest. The committed reference lives in bench/baselines/

@@ -7,30 +7,26 @@
 ///
 /// \file
 /// The "fuzzing" half of the paper's title, generalised: generate random
-/// two-thread straight-line programs over a handful of shared variables,
-/// enumerate their sequentially consistent outcomes exhaustively, and
-/// compare against outcomes observed on the weak machine.
-///
-/// Two uses:
-///  * Soundness validation of the memory model: with a fence after every
-///    access, every outcome the weak machine produces must be
-///    SC-reachable (property-tested over hundreds of random programs).
-///  * Weak-behaviour fuzzing: without fences, outcomes outside the SC set
-///    are genuine weak behaviours; the tuned stress should surface more of
-///    them than native execution, on arbitrary programs rather than only
-///    the three hand-picked litmus idioms of Sec. 3.1.
+/// two-thread straight-line litmus programs, enumerate their sequentially
+/// consistent outcomes exhaustively, and classify the final states
+/// LitmusRunner observes on the weak machine against them. With a fence
+/// after every access no run may leave the SC set (the model-soundness
+/// property); without fences, runs outside it are genuine weak behaviours
+/// that the tuned stress should surface on programs nobody hand-picked.
+/// Programs are plain litmus::Program values, so a fuzz case runs,
+/// prints, shrinks and hardens exactly like a catalog test.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUWMM_FUZZ_PROGRAMFUZZER_H
 #define GPUWMM_FUZZ_PROGRAMFUZZER_H
 
+#include "litmus/Program.h"
 #include "sim/ChipProfile.h"
-#include "sim/ExecutionContext.h"
-#include "sim/Types.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,78 +34,36 @@
 namespace gpuwmm {
 namespace fuzz {
 
-/// One straight-line instruction.
-struct Op {
-  enum class Kind { Store, Load, AtomicAdd, Fence };
-  Kind K = Kind::Load;
-  unsigned Var = 0; ///< Variable index (ignored for Fence).
-  sim::Word Value = 0; ///< Stored/added value (ignored for Load/Fence).
-};
-
-/// A two-thread straight-line program over NumVars shared variables. The
-/// two threads run in distinct blocks, as in the paper's inter-block
-/// focus.
-struct Program {
-  unsigned NumVars = 0;
-  std::vector<Op> Thread[2];
-
-  /// Generates a random program: \p OpsPerThread ops per thread over
-  /// \p NumVars variables. Stores write distinct non-zero values so
-  /// outcomes identify their writers. Fences are included only when
-  /// \p WithFences (used for the soundness property).
-  static Program generate(Rng &R, unsigned NumVars, unsigned OpsPerThread,
-                          bool WithFences);
-
-  /// Inserts a fence after every access (the cons-fence transform).
-  Program fullyFenced() const;
-
-  /// Human-readable listing (for failure reports).
-  std::string str() const;
-};
-
-/// An observable outcome: every load's value in program order for both
-/// threads, followed by the final memory value of every variable.
+/// An observable outcome: every register's final value by index, then
+/// every location's final memory value by index (the layout of
+/// LitmusRunner::countWeak's outcome export).
 using Outcome = std::vector<sim::Word>;
 
+/// Generates a random program: two threads in blocks 0 and 1, each of
+/// \p OpsPerThread ops over locations v0.. (\p NumVars of them); registers
+/// r0.. in load order. Stores and atomic adds write distinct non-zero
+/// values so outcomes identify their writers. Fences are drawn only when
+/// \p WithFences.
+litmus::Program generateProgram(Rng &R, unsigned NumVars,
+                                unsigned OpsPerThread, bool WithFences);
+
+/// The number of interleavings enumerateScOutcomes walks for \p P: the
+/// multinomial coefficient of the per-thread counts of loads, stores and
+/// adds (saturating at UINT64_MAX).
+uint64_t scInterleavings(const litmus::Program &P);
+
+/// The largest scInterleavings a program may have to be fuzzed.
+inline constexpr uint64_t MaxScInterleavings = 1000000;
+
+/// Why \p P cannot be fuzzed, or empty when it can: it must be
+/// well-formed, stay within the fuzzer's instruction set (no split-phase
+/// loads), and have at most MaxScInterleavings interleavings.
+std::string unfuzzableReason(const litmus::Program &P);
+
 /// Exhaustively enumerates the outcomes of \p P under sequential
-/// consistency (all interleavings of the two threads; fences are no-ops
-/// under SC). The number of interleavings is C(n+m, n) — keep programs
-/// small (<= ~8 ops per thread).
-std::set<Outcome> enumerateScOutcomes(const Program &P);
-
-/// Executes \p P once on the weak machine and returns the outcome.
-/// \p Stressed applies tuned sys-str stress to the run. \p Ctx is the
-/// reusable execution engine to run on (reset for this run); the overload
-/// without it leases one from the current thread's pool.
-Outcome runOnWeakMachine(sim::ExecutionContext &Ctx, const Program &P,
-                         const sim::ChipProfile &Chip, uint64_t Seed,
-                         bool Stressed);
-Outcome runOnWeakMachine(const Program &P, const sim::ChipProfile &Chip,
-                         uint64_t Seed, bool Stressed);
-
-/// A fuzz program compiled for the batched executor (sim/BatchExec.h): the
-/// flat op stream with variable addresses, load-log writebacks and
-/// register slots pre-resolved, plus the baked allocation layout a freshly
-/// reset context reproduces (asserted per run). Compiled once per program;
-/// every run of a fuzz campaign reuses it.
-struct CompiledProgram {
-  sim::BatchProgram BP;
-  unsigned NumVars = 0;
-  unsigned MaxLoads = 0; ///< Per-thread log capacity (scalar parity).
-  unsigned NumLoads[2] = {0, 0};
-  sim::Addr Vars = 0, Log0 = 0, Log1 = 0; ///< Baked allocation layout.
-};
-
-/// Compiles \p P for \p Chip (addresses depend on the chip's patch size).
-CompiledProgram compileProgram(const Program &P, const sim::ChipProfile &Chip);
-
-/// Executes one run of a compiled program on the batched engine —
-/// bit-identical to runOnWeakMachine on the same (program, seed,
-/// stressed) triple, per the batched determinism contract.
-Outcome runCompiledOnWeakMachine(sim::ExecutionContext &Ctx,
-                                 const CompiledProgram &CP,
-                                 const sim::ChipProfile &Chip, uint64_t Seed,
-                                 bool Stressed);
+/// consistency: every interleaving of its threads from the initial state.
+/// Fences are SC no-ops; a split-phase load reads at its issue point.
+std::set<Outcome> enumerateScOutcomes(const litmus::Program &P);
 
 /// Result of fuzzing one program for \p Runs executions.
 struct FuzzResult {
@@ -124,10 +78,12 @@ struct FuzzResult {
   Outcome FirstWeak;
 };
 
-/// Runs \p P repeatedly on the weak machine and classifies outcomes
-/// against the exhaustive SC set. Executes on the batched engine
-/// (compiled once, bit-identical to runOnWeakMachine per run).
-FuzzResult fuzzProgram(const Program &P, const sim::ChipProfile &Chip,
+/// Runs \p P (which must be fuzzable) \p Runs times through LitmusRunner
+/// seeded with \p Seed, locations one chip patch apart, and classifies
+/// each final state against the exhaustive SC set. Stressed runs go in
+/// equal consecutive chunks over the chip's bank regions under the tuned
+/// access sequence.
+FuzzResult fuzzProgram(const litmus::Program &P, const sim::ChipProfile &Chip,
                        unsigned Runs, uint64_t Seed, bool Stressed);
 
 /// A fuzzing batch: how many programs to generate and how to fuzz each.
@@ -136,13 +92,13 @@ struct BatchConfig {
   unsigned RunsPerProgram = 40;
   unsigned NumVars = 3;
   unsigned OpsPerThread = 5;
-  bool WithFences = false; ///< Generate fences too (soundness property).
+  bool WithFences = false; ///< Generate fences too.
   bool Stressed = true;
 };
 
 /// One program of a batch, with its classification.
 struct BatchEntry {
-  Program P;
+  litmus::Program P;
   FuzzResult R;
 };
 

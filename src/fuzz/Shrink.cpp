@@ -248,6 +248,26 @@ Repro reproducesWeak(const Program &P, const sim::ChipProfile &Chip,
   return Repro::No;
 }
 
+/// Whether \p A and \p B execute alike: the same ops on the same
+/// location, register and block indices, so the same banks. Names and
+/// data values may differ (no op's timing depends on them).
+bool sameLayout(const Program &A, const Program &B) {
+  if (A.Locations.size() != B.Locations.size() ||
+      A.Registers.size() != B.Registers.size() ||
+      A.Threads.size() != B.Threads.size())
+    return false;
+  for (size_t T = 0; T != A.Threads.size(); ++T) {
+    const auto &OA = A.Threads[T].Ops, &OB = B.Threads[T].Ops;
+    if (A.Threads[T].Block != B.Threads[T].Block || OA.size() != OB.size())
+      return false;
+    for (size_t I = 0; I != OA.size(); ++I)
+      if (OA[I].K != OB[I].K || OA[I].Loc != OB[I].Loc ||
+          OA[I].Reg != OB[I].Reg)
+        return false;
+  }
+  return true;
+}
+
 } // namespace
 
 ShrinkResult fuzz::shrinkWeakProgram(const Program &P,
@@ -295,6 +315,19 @@ ShrinkResult fuzz::shrinkWeakProgram(const Program &P,
         break; // Unit positions shifted; rebuild the unit list.
       }
     }
+  }
+
+  // Hunt hardens and verifies the canonical form at ProvokingRegion. When
+  // canonicalisation moves a location, register slot or block, that form
+  // stresses other banks, so find its region on it (keeping the last one
+  // when it does not reproduce within the budget).
+  const Program Canon = canonicalizeProgram(Result.Reduced);
+  if (!sameLayout(Canon, Result.Reduced)) {
+    const Repro R =
+        reproducesWeak(Canon, Chip, Opts, AttemptIdx++, PreferRegion, Oracle);
+    Result.OracleError = Oracle.Error;
+    if (R == Repro::Yes)
+      Result.ProvokingRegion = PreferRegion;
   }
   Result.ReducedOps = countOps(Result.Reduced);
   Result.CrossChecks = Oracle.CrossChecks;

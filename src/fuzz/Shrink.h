@@ -74,8 +74,10 @@ struct ShrinkResult {
   unsigned ReducedOps = 0;  ///< Instructions after reduction.
   unsigned Candidates = 0;  ///< Candidate programs evaluated.
   unsigned Accepted = 0;    ///< Reductions that kept the weak outcome.
-  /// The tuned stress bank region that last provoked the weak outcome —
-  /// the region `gpuwmm hunt` hardens and verifies under.
+  /// The tuned stress bank region that last provoked the weak outcome of
+  /// canonicalizeProgram(Reduced) — the program and region `gpuwmm hunt`
+  /// hardens and verifies under. Found on Reduced itself when the two
+  /// share a memory layout, or when the canonical form does not reproduce.
   unsigned ProvokingRegion = 0;
   /// Streaming-vs-post-hoc verdict comparisons performed (one per
   /// forbidden-outcome run consulted during the reduction).

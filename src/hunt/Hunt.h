@@ -10,8 +10,9 @@
 /// mines a deduplicated corpus of minimal, hardened, oracle-verified weak
 /// cases by composing the whole toolchain —
 ///
-///   fuzz    generate + classify a batch of random programs on the
-///           compiled batch engine (fuzz/ProgramFuzzer.h),
+///   fuzz    generate a batch of random litmus programs and classify
+///           each LitmusRunner final state against the program's
+///           exhaustive SC set (fuzz/ProgramFuzzer.h),
 ///   shrink  delta-debug each weak case to its minimal core with every
 ///           acceptance cross-checked by both consistency checkers
 ///           (fuzz/Shrink.h),

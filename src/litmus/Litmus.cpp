@@ -249,7 +249,8 @@ std::string LitmusRunner::addrName(sim::Addr A) const {
 
 unsigned LitmusRunner::countWeak(const Program &P, unsigned Distance,
                                  const MicroStress &S, unsigned C,
-                                 const RunOpts &Opts) {
+                                 const RunOpts &Opts,
+                                 std::vector<Word> *Outcomes) {
   // Tracing and streaming sinks observe through the scalar engine's
   // event seam, which the batched executor does not drive: such runs take
   // the scalar path, as does everything under --engine=scalar. Results
@@ -257,12 +258,20 @@ unsigned LitmusRunner::countWeak(const Program &P, unsigned Distance,
   // interleave traced and batched runs on one runner.
   if (Opts.Trace || Opts.Sink ||
       sim::engineMode() == sim::EngineMode::Scalar) {
+    if (Outcomes)
+      Outcomes->clear();
     unsigned Weak = 0;
-    for (unsigned I = 0; I != C; ++I)
+    for (unsigned I = 0; I != C; ++I) {
       Weak += runOnce(P, Distance, S, Opts);
+      if (Outcomes) {
+        Outcomes->insert(Outcomes->end(), FinalRegs.begin(), FinalRegs.end());
+        Outcomes->insert(Outcomes->end(), FinalMem.begin(), FinalMem.end());
+      }
+    }
     return Weak;
   }
-  return countWeakBatch(P, Distance, S, C, Opts);
+  return countWeakBatch(P, Distance, S, C, Opts, /*PerRun=*/nullptr,
+                        Outcomes);
 }
 
 void LitmusRunner::rebuildBatchPlan(const Program &P, unsigned Distance,
@@ -354,11 +363,14 @@ void LitmusRunner::rebuildBatchPlan(const Program &P, unsigned Distance,
 unsigned LitmusRunner::countWeakBatch(const Program &P, unsigned Distance,
                                       const MicroStress &S, unsigned C,
                                       const RunOpts &Opts,
-                                      std::vector<uint8_t> *PerRun) {
+                                      std::vector<uint8_t> *PerRun,
+                                      std::vector<Word> *Outcomes) {
   assert(!Opts.Trace && !Opts.Sink &&
          "traced/streamed runs take the scalar path (countWeak)");
   if (PerRun)
     PerRun->clear();
+  if (Outcomes)
+    Outcomes->clear();
   if (C == 0)
     return 0;
   if (Batched.P != &P || Batched.Distance != Distance ||
@@ -406,6 +418,8 @@ unsigned LitmusRunner::countWeakBatch(const Program &P, unsigned Distance,
   unsigned Weak = 0;
   if (PerRun)
     PerRun->reserve(C);
+  if (Outcomes)
+    Outcomes->reserve(static_cast<size_t>(C) * (B.NumRegs + B.NumLocs));
 
   for (unsigned Done = 0; Done != C;) {
     const unsigned N = std::min(K, C - Done);
@@ -468,6 +482,10 @@ unsigned LitmusRunner::countWeakBatch(const Program &P, unsigned Distance,
       Weak += IsWeak;
       if (PerRun)
         PerRun->push_back(IsWeak);
+      if (Outcomes) {
+        Outcomes->insert(Outcomes->end(), FR, FR + B.NumRegs);
+        Outcomes->insert(Outcomes->end(), FM, FM + B.NumLocs);
+      }
     }
   }
   return Weak;

@@ -13,8 +13,8 @@
 /// pipeline.
 ///
 /// Tests are data (litmus/Program.h): the runner interprets any program —
-/// a built-in catalog entry, a parsed `.litmus` file, or an exported fuzz
-/// case. The historical LitmusKind enum API remains as a thin catalog
+/// a built-in catalog entry, a parsed `.litmus` file, or a generated fuzz
+/// program. The historical LitmusKind enum API remains as a thin catalog
 /// lookup and executes bit-identically to the original hand-written
 /// kernels. Communication locations are placed in global memory with the
 /// communicating threads in distinct blocks by default, matching the
@@ -153,9 +153,13 @@ public:
   /// trace events. Either way, results, executions() accounting and the
   /// runner's derived seed streams are bit-identical, so `litmus
   /// --explain`, `--oracle=all` and `fuzz --shrink` outputs never change.
+  /// When \p Outcomes is non-null it receives every run's final state in
+  /// execution order, one stride per run: the registers by index, then the
+  /// locations by index (the fuzzer's classification input).
   unsigned countWeak(const Program &P, unsigned Distance,
                      const MicroStress &S, unsigned C,
-                     const RunOpts &Opts = RunOpts());
+                     const RunOpts &Opts = RunOpts(),
+                     std::vector<sim::Word> *Outcomes = nullptr);
 
   /// Executes \p P \p C times on the batched engine (sim/BatchExec.h):
   /// the program is compiled once into a flat op-stream plan, runs are
@@ -165,11 +169,13 @@ public:
   /// stream for every batch width (DESIGN.md Sec. 17). \p Opts must not
   /// request tracing or a sink (asserted). When \p PerRun is non-null it
   /// receives each run's weak verdict in execution order (0/1) — the A/B
-  /// hook for the identity bench and property tests.
+  /// hook for the identity bench and property tests. \p Outcomes is
+  /// \ref countWeak's final-state export.
   unsigned countWeakBatch(const Program &P, unsigned Distance,
                           const MicroStress &S, unsigned C,
                           const RunOpts &Opts = RunOpts(),
-                          std::vector<uint8_t> *PerRun = nullptr);
+                          std::vector<uint8_t> *PerRun = nullptr,
+                          std::vector<sim::Word> *Outcomes = nullptr);
 
   /// Batch width K for the batched path; 0 (default) resolves to the
   /// process-wide sim::defaultBatchWidth(). Width only sets the slab

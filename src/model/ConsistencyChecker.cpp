@@ -247,19 +247,23 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
           Overlay.erase(E.A);
       } else {
         // A coherence-dropped write never became visible, but it still has
-        // a coherence position: before every plain write with a newer
-        // store id. Applied plain writes appear in increasing id order, so
-        // scanning back from the end places it exactly (atomics, which
-        // carry no id, bound the scan).
+        // a coherence position: just before the earliest applied plain
+        // write with a newer store id. Applied plain writes appear in
+        // increasing id order, so scanning back from the end finds it;
+        // atomics carry no id and are scanned past, since stopping at one
+        // would wedge the write between that atomic and a later atomic
+        // reading from it (a false co;fr cycle).
         auto &Order = Co[E.A];
         size_t Pos = Order.size();
-        while (Pos != 0) {
-          const TraceEvent &W = Events[Order[Pos - 1]];
+        for (size_t K = Order.size(); K != 0; --K) {
+          const TraceEvent &W = Events[Order[K - 1]];
           const bool Plain = W.Kind == TraceEventKind::StoreIssue ||
                              W.Kind == TraceEventKind::HostWrite;
-          if (!Plain || W.Id < E.Id)
+          if (!Plain)
+            continue;
+          if (W.Id < E.Id)
             break;
-          --Pos;
+          Pos = K - 1;
         }
         Order.insert(Order.begin() + static_cast<ptrdiff_t>(Pos), Issue);
       }

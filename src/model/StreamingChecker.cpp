@@ -433,20 +433,22 @@ struct Graph {
     adoptPendingReaders(AS.Co.back());
   }
 
-  /// Inserts a coherence-dropped write at its position: before every
-  /// plain write with a newer store id, never past an atomic — the same
-  /// backwards scan the post-hoc checker runs, over the live window
-  /// (which still contains the true insertion point: the store was
+  /// Inserts a coherence-dropped write at its position: just before the
+  /// earliest plain write with a newer store id, scanning back past
+  /// atomics — the same scan the post-hoc checker runs, over the live
+  /// window (which still contains the true insertion point: the store was
   /// buffered since its issue, so no prune released it in between).
   void coInsertDropped(AddrState &AS, uint64_t N, uint64_t Id) {
     if (S.GraphDead)
       return;
     size_t Pos = AS.Co.size();
-    while (Pos != 0) {
-      const CoEnt &W = AS.Co[Pos - 1];
-      if (!W.Plain || W.Id < Id)
+    for (size_t K = AS.Co.size(); K != 0; --K) {
+      const CoEnt &W = AS.Co[K - 1];
+      if (!W.Plain)
+        continue;
+      if (W.Id < Id)
         break;
-      --Pos;
+      Pos = K - 1;
     }
     if (Pos != 0) {
       addEdge(AS.Co[Pos - 1].Node, N, EdgeKind::Co);

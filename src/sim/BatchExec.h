@@ -36,9 +36,9 @@
 /// pending draws nothing in the scalar engine either — it only advances
 /// the clock and the SM rotors, which the fast-forward replays in closed
 /// form. BatchedExecutionTests pins the equivalence per run against
-/// LitmusRunner::runOnce and fuzz::runOnWeakMachine; the application
-/// lowering layer (apps::compileApplication, DESIGN.md Sec. 19) pins it
-/// per run against apps::runApplicationOnce.
+/// LitmusRunner::runOnce, on catalog and fuzz-generated programs; the
+/// application lowering layer (apps::compileApplication, DESIGN.md
+/// Sec. 19) pins it per run against apps::runApplicationOnce.
 ///
 //===----------------------------------------------------------------------===//
 

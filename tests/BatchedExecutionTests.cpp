@@ -12,8 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "fuzz/LitmusBridge.h"
 #include "fuzz/ProgramFuzzer.h"
+#include "litmus/Format.h"
 #include "litmus/Litmus.h"
 #include "support/ThreadPool.h"
 
@@ -265,9 +265,7 @@ TEST(FuzzPrograms, FiftyRandomProgramsMatchScalarBitForBit) {
   unsigned Checked = 0;
   for (unsigned I = 0; I != 50; ++I) {
     Rng R = Gen.fork(I);
-    const fuzz::Program FP = fuzz::Program::generate(R, 3, 5, I % 4 == 0);
-    const Program P =
-        fuzz::toLitmusProgram(FP, "fuzz" + std::to_string(I));
+    const Program P = fuzz::generateProgram(R, 3, 5, I % 4 == 0);
     ASSERT_TRUE(P.validate().empty()) << P.validate();
     LitmusRunner::RunOpts Opts;
     Opts.Randomise = I % 2 == 0;
@@ -276,7 +274,7 @@ TEST(FuzzPrograms, FiftyRandomProgramsMatchScalarBitForBit) {
     const auto Scalar = scalarVerdicts(P, 32, S, 30, Opts, 5000 + I);
     const auto Batched =
         batchedVerdicts(P, 32, S, 30, Opts, 5000 + I, 1 + I % 9);
-    ASSERT_EQ(Scalar, Batched) << FP.str();
+    ASSERT_EQ(Scalar, Batched) << printLitmus(P);
     ++Checked;
   }
   EXPECT_EQ(Checked, 50u);

@@ -23,6 +23,7 @@
 
 #include "gtest/gtest.h"
 
+#include <thread>
 #include <vector>
 
 using namespace gpuwmm;
@@ -236,18 +237,25 @@ TEST(ExecutionContextLayers, AppsFreshVsReusedVerdictsAgree) {
 }
 
 TEST(ExecutionContextLayers, FuzzFreshVsReusedOutcomesAgree) {
+  // fuzzProgram leases its runner's context from the thread's pool: the
+  // first call warms it, the second runs on it reused. A fresh thread's
+  // pool gives the cold reference.
   Rng Gen(31);
-  const fuzz::Program P = fuzz::Program::generate(Gen, /*NumVars=*/3,
+  const litmus::Program P = fuzz::generateProgram(Gen, /*NumVars=*/3,
                                                   /*OpsPerThread=*/5,
                                                   /*WithFences=*/false);
-  ExecutionContext Reused;
-  for (uint64_t Run = 0; Run != 20; ++Run) {
-    const uint64_t Seed = Rng::deriveStream(32, Run);
-    ExecutionContext Fresh;
-    EXPECT_EQ(
-        fuzz::runOnWeakMachine(Reused, P, titan(), Seed, /*Stressed=*/true),
-        fuzz::runOnWeakMachine(Fresh, P, titan(), Seed, /*Stressed=*/true))
-        << "run " << Run;
+  for (const bool Stressed : {false, true}) {
+    fuzz::FuzzResult Fresh;
+    std::thread([&] {
+      Fresh = fuzz::fuzzProgram(P, titan(), 40, 32, Stressed);
+    }).join();
+    (void)fuzz::fuzzProgram(P, titan(), 40, 33, Stressed);
+    const fuzz::FuzzResult Reused =
+        fuzz::fuzzProgram(P, titan(), 40, 32, Stressed);
+    EXPECT_EQ(Reused.WeakOutcomes, Fresh.WeakOutcomes);
+    EXPECT_EQ(Reused.DistinctWeak, Fresh.DistinctWeak);
+    EXPECT_EQ(Reused.DistinctScSeen, Fresh.DistinctScSeen);
+    EXPECT_EQ(Reused.FirstWeak, Fresh.FirstWeak);
   }
 }
 

@@ -4,18 +4,29 @@
 // Weak Memory in GPU Applications" (Sorensen & Donaldson, PLDI 2016).
 //
 // Tests the exhaustive SC reference against hand-computed outcome sets and
-// property-tests the memory model's soundness on random programs: with a
-// fence after every access, the weak machine only ever produces
-// SC-reachable outcomes, even under the aggressive testing environment.
+// the catalog's forbidden clauses, and property-tests the memory model's
+// soundness on random programs: with a fence after every access, the weak
+// machine only ever produces SC-reachable outcomes, even under tuned
+// stress.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/ProgramFuzzer.h"
 
+#include "harden/LitmusHarden.h"
+#include "litmus/Format.h"
+#include "litmus/Litmus.h"
+#include "sim/BatchExec.h"
+#include "stress/Environment.h"
+
 #include "gtest/gtest.h"
+
+#include <limits>
 
 using namespace gpuwmm;
 using namespace gpuwmm::fuzz;
+using litmus::ProgOp;
+using litmus::Program;
 
 namespace {
 
@@ -23,15 +34,43 @@ const sim::ChipProfile &titan() {
   return *sim::ChipProfile::lookup("titan");
 }
 
-/// Builds the MP idiom as a fuzzer program:
-///   T0: st(v0,1) st(v1,1)      T1: ld(v1) ld(v0)
-Program mpProgram() {
+/// A two-thread program over v0.. in the generator's shape: thread T in
+/// block T, registers r0.. in load order.
+Program twoThreads(unsigned NumVars, std::vector<ProgOp> T0,
+                   std::vector<ProgOp> T1) {
   Program P;
-  P.NumVars = 2;
-  P.Thread[0] = {{Op::Kind::Store, 0, 1}, {Op::Kind::Store, 1, 1}};
-  P.Thread[1] = {{Op::Kind::Load, 1, 0}, {Op::Kind::Load, 0, 0}};
+  P.Name = "t";
+  for (unsigned V = 0; V != NumVars; ++V)
+    P.Locations.push_back("v" + std::to_string(V));
+  P.Init.assign(NumVars, 0);
+  P.Threads = {{0, std::move(T0)}, {1, std::move(T1)}};
+  unsigned NumRegs = 0;
+  for (const litmus::ProgThread &T : P.Threads)
+    for (const ProgOp &O : T.Ops)
+      NumRegs += O.K == ProgOp::Kind::Load;
+  for (unsigned R = 0; R != NumRegs; ++R)
+    P.Registers.push_back("r" + std::to_string(R));
+  EXPECT_EQ(P.validate(), "");
   return P;
 }
+
+/// MP:  T0: st(v0,1) st(v1,1)      T1: r0=ld(v1) r1=ld(v0)
+Program mpProgram() {
+  return twoThreads(2, {ProgOp::store(0, 1), ProgOp::store(1, 1)},
+                    {ProgOp::load(0, 1), ProgOp::load(1, 0)});
+}
+
+/// \p P with a fence after every access.
+Program fullyFenced(const Program &P) {
+  return harden::applyLitmusFences(
+      P, sim::FencePolicy::all(static_cast<unsigned>(
+             harden::litmusFenceSites(P).size())));
+}
+
+/// Restores the process-wide engine selection when a test ends.
+struct EngineGuard {
+  ~EngineGuard() { sim::setEngineMode(sim::EngineMode::Auto); }
+};
 
 } // namespace
 
@@ -40,9 +79,9 @@ Program mpProgram() {
 //===----------------------------------------------------------------------===//
 
 TEST(ScEnumeratorTest, MpOutcomesMatchHandEnumeration) {
-  // Outcome layout for MP: [r1=ld(v1), r2=ld(v0), final v0, final v1].
+  // Outcome layout for MP: [r0=ld(v1), r1=ld(v0), final v0, final v1].
   const auto Sc = enumerateScOutcomes(mpProgram());
-  // SC allows (0,0), (0,1)... r1=1 implies r2=1. Finals always (1,1).
+  // SC allows (0,0), (0,1)... r0=1 implies r1=1. Finals always (1,1).
   EXPECT_EQ(Sc.size(), 3u);
   EXPECT_TRUE(Sc.count({0, 0, 1, 1}));
   EXPECT_TRUE(Sc.count({0, 1, 1, 1}));
@@ -52,12 +91,11 @@ TEST(ScEnumeratorTest, MpOutcomesMatchHandEnumeration) {
 
 TEST(ScEnumeratorTest, SbOutcomesMatchHandEnumeration) {
   // SB: T0: st(v0,1) ld(v1); T1: st(v1,1) ld(v0).
-  Program P;
-  P.NumVars = 2;
-  P.Thread[0] = {{Op::Kind::Store, 0, 1}, {Op::Kind::Load, 1, 0}};
-  P.Thread[1] = {{Op::Kind::Store, 1, 1}, {Op::Kind::Load, 0, 0}};
+  const Program P =
+      twoThreads(2, {ProgOp::store(0, 1), ProgOp::load(0, 1)},
+                 {ProgOp::store(1, 1), ProgOp::load(1, 0)});
   const auto Sc = enumerateScOutcomes(P);
-  // Outcome layout: [r1=ld(v1), r2=ld(v0), v0, v1]. SC forbids (0,0).
+  // Outcome layout: [r0=ld(v1), r1=ld(v0), v0, v1]. SC forbids (0,0).
   EXPECT_FALSE(Sc.count({0, 0, 1, 1}));
   EXPECT_TRUE(Sc.count({1, 1, 1, 1}));
   EXPECT_TRUE(Sc.count({0, 1, 1, 1}));
@@ -65,20 +103,53 @@ TEST(ScEnumeratorTest, SbOutcomesMatchHandEnumeration) {
 }
 
 TEST(ScEnumeratorTest, AtomicsAccumulate) {
-  Program P;
-  P.NumVars = 1;
-  P.Thread[0] = {{Op::Kind::AtomicAdd, 0, 3}};
-  P.Thread[1] = {{Op::Kind::AtomicAdd, 0, 5}};
+  const Program P = twoThreads(1, {ProgOp::atomicAdd(0, 3)},
+                               {ProgOp::atomicAdd(0, 5)});
   const auto Sc = enumerateScOutcomes(P);
   ASSERT_EQ(Sc.size(), 1u);
   EXPECT_TRUE(Sc.count({8})) << "adds commute; one final state";
 }
 
 TEST(ScEnumeratorTest, FencesAreScNoOps) {
-  Program P = mpProgram();
-  const auto Plain = enumerateScOutcomes(P);
-  const auto Fenced = enumerateScOutcomes(P.fullyFenced());
-  EXPECT_EQ(Plain, Fenced);
+  const Program P = mpProgram();
+  EXPECT_EQ(enumerateScOutcomes(P), enumerateScOutcomes(fullyFenced(P)));
+  EXPECT_EQ(scInterleavings(P), scInterleavings(fullyFenced(P)));
+}
+
+TEST(ScEnumeratorTest, InitialStateSeedsMemory) {
+  Program P = twoThreads(1, {ProgOp::atomicAdd(0, 2)}, {ProgOp::load(0, 0)});
+  P.Init = {5};
+  const auto Sc = enumerateScOutcomes(P);
+  EXPECT_EQ(Sc, (std::set<Outcome>{{5, 7}, {7, 7}}));
+}
+
+TEST(ScEnumeratorTest, CatalogForbiddenOutcomesAreNeverSc) {
+  // Every catalog test's forbidden clause names a non-SC outcome (the
+  // split-phase idioms read at their issue point), over two, three and
+  // four threads — and the enumerator reaches more than one outcome.
+  for (const Program &P : litmus::catalog()) {
+    const auto Sc = enumerateScOutcomes(P);
+    EXPECT_GT(Sc.size(), 1u) << P.Name;
+    const size_t NumRegs = P.Registers.size();
+    for (const Outcome &O : Sc) {
+      const std::vector<sim::Word> Regs(O.begin(), O.begin() + NumRegs);
+      const std::vector<sim::Word> Mem(O.begin() + NumRegs, O.end());
+      EXPECT_FALSE(P.evalForbidden(Regs, Mem)) << P.Name;
+    }
+  }
+}
+
+TEST(ScEnumeratorTest, InterleavingsAreTheMultinomial) {
+  EXPECT_EQ(scInterleavings(mpProgram()), 6u); // C(4, 2).
+  // IRIW: threads of 1, 1, 2 and 2 reads/writes (awaits are no steps):
+  // 6! / (1! 1! 2! 2!) = 180.
+  EXPECT_EQ(scInterleavings(*litmus::findCatalogProgram("IRIW")), 180u);
+  Program Huge = mpProgram();
+  for (litmus::ProgThread &T : Huge.Threads)
+    T.Ops.assign(40, ProgOp::store(0, 1));
+  Huge.Registers.clear();
+  EXPECT_EQ(scInterleavings(Huge), std::numeric_limits<uint64_t>::max())
+      << "C(80, 40) saturates";
 }
 
 //===----------------------------------------------------------------------===//
@@ -88,13 +159,21 @@ TEST(ScEnumeratorTest, FencesAreScNoOps) {
 TEST(ProgramTest, GenerateRespectsBounds) {
   Rng R(5);
   for (int I = 0; I != 50; ++I) {
-    const Program P = Program::generate(R, 3, 6, /*WithFences=*/false);
-    EXPECT_EQ(P.NumVars, 3u);
+    const Program P = generateProgram(R, 3, 6, /*WithFences=*/false);
+    EXPECT_EQ(P.validate(), "");
+    EXPECT_EQ(P.Locations.size(), 3u);
+    EXPECT_EQ(P.PhaseJitter, 8u);
+    ASSERT_EQ(P.Threads.size(), 2u);
+    unsigned NextReg = 0;
     for (unsigned T = 0; T != 2; ++T) {
-      EXPECT_EQ(P.Thread[T].size(), 6u);
-      for (const Op &O : P.Thread[T]) {
-        EXPECT_NE(O.K, Op::Kind::Fence);
-        EXPECT_LT(O.Var, 3u);
+      EXPECT_EQ(P.Threads[T].Block, T);
+      EXPECT_EQ(P.Threads[T].Ops.size(), 6u);
+      for (const ProgOp &O : P.Threads[T].Ops) {
+        EXPECT_NE(O.K, ProgOp::Kind::Fence);
+        EXPECT_LT(O.Loc, 3u);
+        if (O.K == ProgOp::Kind::Load) {
+          EXPECT_EQ(O.Reg, NextReg++) << "registers in load order";
+        }
       }
     }
   }
@@ -102,24 +181,25 @@ TEST(ProgramTest, GenerateRespectsBounds) {
 
 TEST(ProgramTest, FullyFencedDoublesAccesses) {
   Rng R(6);
-  const Program P = Program::generate(R, 2, 5, false);
-  const Program F = P.fullyFenced();
-  EXPECT_EQ(F.Thread[0].size(), 10u);
-  EXPECT_EQ(F.Thread[1].size(), 10u);
+  const Program P = generateProgram(R, 2, 5, false);
+  const Program F = fullyFenced(P);
+  for (unsigned T = 0; T != 2; ++T) {
+    ASSERT_EQ(F.Threads[T].Ops.size(), 10u);
+    for (size_t I = 1; I < 10; I += 2)
+      EXPECT_EQ(F.Threads[T].Ops[I].K, ProgOp::Kind::Fence);
+  }
 }
 
 TEST(ProgramTest, ListingMentionsEveryOpKind) {
-  Program P;
-  P.NumVars = 1;
-  P.Thread[0] = {{Op::Kind::Store, 0, 7},
-                 {Op::Kind::Load, 0, 0},
-                 {Op::Kind::AtomicAdd, 0, 1},
-                 {Op::Kind::Fence, 0, 0}};
-  const std::string S = P.str();
-  EXPECT_NE(S.find("st(v0,7)"), std::string::npos);
-  EXPECT_NE(S.find("ld(v0)"), std::string::npos);
-  EXPECT_NE(S.find("add(v0,1)"), std::string::npos);
-  EXPECT_NE(S.find("fence"), std::string::npos);
+  const Program P = twoThreads(1,
+                               {ProgOp::store(0, 7), ProgOp::load(0, 0),
+                                ProgOp::atomicAdd(0, 1), ProgOp::fence()},
+                               {ProgOp::store(0, 2)});
+  const std::string S = litmus::printLitmus(P);
+  EXPECT_NE(S.find("st v0 7"), std::string::npos) << S;
+  EXPECT_NE(S.find("ld r0 v0"), std::string::npos) << S;
+  EXPECT_NE(S.find("add v0 1"), std::string::npos) << S;
+  EXPECT_NE(S.find("fence"), std::string::npos) << S;
 }
 
 //===----------------------------------------------------------------------===//
@@ -127,18 +207,17 @@ TEST(ProgramTest, ListingMentionsEveryOpKind) {
 //===----------------------------------------------------------------------===//
 
 TEST(FuzzSoundnessTest, FullyFencedOutcomesAreAlwaysScReachable) {
-  // 60 random programs, each fully fenced, each run 6 times under the
-  // aggressive environment: every outcome must be SC-reachable. This is
-  // the model-soundness property the whole reproduction rests on.
+  // 60 random programs, each fully fenced, each run 8 times under tuned
+  // stress (one run per bank region): every outcome must be SC-reachable.
+  // This is the model-soundness property the whole reproduction rests on.
   Rng R(4242);
   for (int I = 0; I != 60; ++I) {
-    const Program P =
-        Program::generate(R, 3, 4, /*WithFences=*/false).fullyFenced();
+    const Program P = fullyFenced(generateProgram(R, 3, 4, false));
     const FuzzResult Result =
-        fuzzProgram(P, titan(), /*Runs=*/6, 1000 + I, /*Stressed=*/true);
+        fuzzProgram(P, titan(), /*Runs=*/8, 1000 + I, /*Stressed=*/true);
     EXPECT_EQ(Result.WeakOutcomes, 0u)
         << "non-SC outcome from a fully fenced program:\n"
-        << P.str();
+        << litmus::printLitmus(P);
   }
 }
 
@@ -148,7 +227,7 @@ TEST(FuzzSoundnessTest, SequentialOutcomesAreScReachableUnfenced) {
   Rng R(99);
   unsigned Weak = 0, Total = 0;
   for (int I = 0; I != 30; ++I) {
-    const Program P = Program::generate(R, 3, 4, false);
+    const Program P = generateProgram(R, 3, 4, false);
     const FuzzResult Result =
         fuzzProgram(P, titan(), 10, 2000 + I, /*Stressed=*/false);
     Weak += Result.WeakOutcomes;
@@ -164,7 +243,7 @@ TEST(FuzzWeaknessTest, StressExposesWeakOutcomesOnRandomPrograms) {
   Rng R(77);
   unsigned ProgramsWithWeak = 0;
   for (int I = 0; I != 25; ++I) {
-    const Program P = Program::generate(R, 3, 5, false);
+    const Program P = generateProgram(R, 3, 5, false);
     const FuzzResult Result =
         fuzzProgram(P, titan(), 40, 3000 + I, /*Stressed=*/true);
     ProgramsWithWeak += Result.WeakOutcomes > 0;
@@ -180,30 +259,64 @@ TEST(FuzzWeaknessTest, MpWeakOutcomeIsObservableUnderStress) {
   EXPECT_GT(Result.WeakOutcomes, 5u);
   EXPECT_GE(Result.DistinctWeak, 1u);
   EXPECT_EQ(Result.ScSetSize, 3u);
+  EXPECT_EQ(Result.FirstWeak, (Outcome{1, 0, 1, 1}));
 }
 
 //===----------------------------------------------------------------------===//
-// Batched execution identity
+// Engine identity
 //===----------------------------------------------------------------------===//
 
 TEST(FuzzBatchedTest, CompiledRunsMatchInterpreterBitForBit) {
-  // The batched engine behind fuzzProgram must reproduce the coroutine
-  // interpreter's outcome exactly — same seed, same outcome vector — for
-  // random programs, native and stressed alike.
-  Rng R(7100);
-  sim::ContextLease Scalar, Batched;
-  for (int I = 0; I != 40; ++I) {
-    const Program P = Program::generate(R, 3, 5, /*WithFences=*/true);
-    const CompiledProgram CP = compileProgram(P, titan());
-    const bool Stressed = I % 2 == 0;
-    for (uint64_t Seed = 0; Seed != 5; ++Seed) {
-      const uint64_t RunSeed = 9000 + 100 * I + Seed;
-      EXPECT_EQ(runOnWeakMachine(Scalar.get(), P, titan(), RunSeed, Stressed),
-                runCompiledOnWeakMachine(Batched.get(), CP, titan(), RunSeed,
-                                         Stressed))
-          << "divergence at seed " << RunSeed << " (stressed=" << Stressed
-          << "):\n"
-          << P.str();
+  // fuzzBatch's classification must not depend on the engine: the
+  // batched (compiled) path and the scalar coroutine interpreter produce
+  // the same programs, outcomes and verdicts, native and stressed alike.
+  EngineGuard Guard;
+  for (const bool Stressed : {false, true}) {
+    BatchConfig Cfg;
+    Cfg.Programs = 24;
+    Cfg.RunsPerProgram = 20;
+    Cfg.WithFences = true;
+    Cfg.Stressed = Stressed;
+    sim::setEngineMode(sim::EngineMode::Scalar);
+    const auto Scalar = fuzzBatch(titan(), Cfg, 7100);
+    sim::setEngineMode(sim::EngineMode::Batched);
+    const auto Batched = fuzzBatch(titan(), Cfg, 7100);
+    ASSERT_EQ(Scalar.size(), Batched.size());
+    for (size_t I = 0; I != Scalar.size(); ++I) {
+      EXPECT_TRUE(Scalar[I].P == Batched[I].P);
+      EXPECT_EQ(Scalar[I].R.WeakOutcomes, Batched[I].R.WeakOutcomes)
+          << "program " << I << " (stressed=" << Stressed << ")";
+      EXPECT_EQ(Scalar[I].R.DistinctWeak, Batched[I].R.DistinctWeak);
+      EXPECT_EQ(Scalar[I].R.DistinctScSeen, Batched[I].R.DistinctScSeen);
+      EXPECT_EQ(Scalar[I].R.FirstWeak, Batched[I].R.FirstWeak);
     }
+  }
+}
+
+TEST(FuzzBatchedTest, OutcomeExportIsIdenticalOnBothCountWeakPaths) {
+  // LitmusRunner::countWeak's per-run final states: the scalar runOnce
+  // loop and the batched executor agree run for run, including a
+  // multi-thread catalog test with a non-zero initial state.
+  EngineGuard Guard;
+  Rng R(8100);
+  std::vector<Program> Programs = {*litmus::findCatalogProgram("ISA2")};
+  Programs.back().Init = {0, 4, 9};
+  for (int I = 0; I != 10; ++I)
+    Programs.push_back(generateProgram(R, 3, 5, /*WithFences=*/I % 3 == 0));
+  const auto Tuned = stress::TunedStressParams::paperDefaults(titan());
+  const auto Stress =
+      litmus::LitmusRunner::MicroStress::at(Tuned.Seq, 3 * Tuned.PatchWords);
+  for (const Program &P : Programs) {
+    std::vector<sim::Word> Scalar, Batched;
+    sim::setEngineMode(sim::EngineMode::Scalar);
+    litmus::LitmusRunner A(titan(), 42);
+    const unsigned WeakA = A.countWeak(P, 64, Stress, 30, {}, &Scalar);
+    sim::setEngineMode(sim::EngineMode::Batched);
+    litmus::LitmusRunner B(titan(), 42);
+    const unsigned WeakB = B.countWeak(P, 64, Stress, 30, {}, &Batched);
+    EXPECT_EQ(WeakA, WeakB) << P.Name;
+    ASSERT_EQ(Scalar.size(),
+              30 * (P.Registers.size() + P.Locations.size()));
+    EXPECT_EQ(Scalar, Batched) << litmus::printLitmus(P);
   }
 }

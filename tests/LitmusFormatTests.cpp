@@ -99,32 +99,17 @@ TEST(LitmusFormatTest, DefaultsAreOmittedWhenPrinting) {
 }
 
 TEST(LitmusFormatTest, RandomFuzzExportsRoundTrip) {
-  // Property test: any generated fuzz program survives
-  // fuzz -> litmus -> text -> litmus -> fuzz unchanged.
+  // Property test: any generated fuzz program, and its export pinning an
+  // outcome, survives litmus -> text -> litmus unchanged.
   for (uint64_t Seed = 0; Seed != 50; ++Seed) {
     Rng R(Seed);
-    const fuzz::Program P = fuzz::Program::generate(
+    const Program P = fuzz::generateProgram(
         R, /*NumVars=*/3, /*OpsPerThread=*/6, /*WithFences=*/true);
-    const Program L = fuzz::toLitmusProgram(P, "t");
-    const Program Reparsed = parseOk(printLitmus(L));
-    EXPECT_TRUE(Reparsed == L) << "seed " << Seed;
+    EXPECT_TRUE(parseOk(printLitmus(P)) == P) << "seed " << Seed;
 
-    std::string Why;
-    std::optional<fuzz::Program> Back =
-        fuzz::fromLitmusProgram(Reparsed, &Why);
-    ASSERT_TRUE(Back.has_value()) << Why;
-    EXPECT_EQ(Back->NumVars, P.NumVars);
-    for (unsigned T = 0; T != 2; ++T) {
-      ASSERT_EQ(Back->Thread[T].size(), P.Thread[T].size());
-      for (size_t I = 0; I != P.Thread[T].size(); ++I) {
-        EXPECT_EQ(Back->Thread[T][I].K, P.Thread[T][I].K);
-        EXPECT_EQ(Back->Thread[T][I].Var, P.Thread[T][I].Var);
-        if (P.Thread[T][I].K != fuzz::Op::Kind::Load &&
-            P.Thread[T][I].K != fuzz::Op::Kind::Fence) {
-          EXPECT_EQ(Back->Thread[T][I].Value, P.Thread[T][I].Value);
-        }
-      }
-    }
+    const fuzz::Outcome Weak(P.Registers.size() + P.Locations.size(), 1);
+    const Program L = fuzz::toLitmusProgram(P, "t", &Weak);
+    EXPECT_TRUE(parseOk(printLitmus(L)) == L) << "seed " << Seed;
   }
 }
 
@@ -233,38 +218,51 @@ TEST(LitmusFormatTest, StrayPunctuationIsRejected) {
 TEST(LitmusBridgeTest, ExportPinsTheObservedOutcome) {
   // A program whose SC outcomes are easy to enumerate: T0 stores, T1
   // loads twice. Pin a fabricated "outcome" and check the clause.
-  fuzz::Program P;
-  P.NumVars = 2;
-  P.Thread[0] = {{fuzz::Op::Kind::Store, 0, 1}};
-  P.Thread[1] = {{fuzz::Op::Kind::Load, 0, 0},
-                 {fuzz::Op::Kind::Load, 1, 0}};
+  const Program P = parseOk("litmus t\nlocations v0 v1\njitter 8\n"
+                            "thread 0 {\n  st v0 1\n}\n"
+                            "thread 1 {\n  ld r0 v0\n  ld r1 v1\n}\n");
   const fuzz::Outcome Weak = {1, 0, 1, 0}; // r0, r1, v0, v1.
   const Program L = fuzz::toLitmusProgram(P, "case", &Weak);
+  EXPECT_EQ(L.Name, "case");
   ASSERT_EQ(L.Forbidden.size(), 4u);
   EXPECT_TRUE(L.evalForbidden({1, 0}, {1, 0}));
   EXPECT_FALSE(L.evalForbidden({1, 1}, {1, 0}));
-  EXPECT_EQ(L.PhaseJitter, 8u) << "must match the fuzz interpreter";
+  EXPECT_EQ(L.Threads, P.Threads) << "export only renames and pins";
 
   // The exported artifact replays: the weak outcome the fuzzer saw is
   // exactly what LitmusRunner reports as weak.
   const std::string Text = printLitmus(L);
   EXPECT_NE(Text.find("forbidden"), std::string::npos);
+  EXPECT_TRUE(fuzz::toLitmusProgram(L, "t").Forbidden.empty())
+      << "without an outcome the clause is empty";
 }
 
 TEST(LitmusBridgeTest, ImportRejectsUnrepresentablePrograms) {
-  std::string Why;
-  EXPECT_FALSE(
-      fuzz::fromLitmusProgram(*findCatalogProgram("IRIW"), &Why));
-  EXPECT_NE(Why.find("two threads"), std::string::npos) << Why;
+  // `fuzz --file` accepts any well-formed program of st/ld/add/fence ops
+  // (any thread count, any initial state) whose SC enumeration is
+  // affordable.
+  EXPECT_EQ(fuzz::unfuzzableReason(*findCatalogProgram("MP")), "");
+  EXPECT_EQ(fuzz::unfuzzableReason(*findCatalogProgram("ISA2")), "");
+  const Program Init = parseOk("litmus t\nlocations x\ninit { x = 3 }\n"
+                               "thread 0 @ block 0 {\n  st x 1\n}\n"
+                               "thread 1 @ block 1 {\n  ld r0 x\n}\n");
+  EXPECT_EQ(fuzz::unfuzzableReason(Init), "");
 
-  EXPECT_FALSE(fuzz::fromLitmusProgram(*findCatalogProgram("LB"), &Why));
-  EXPECT_NE(Why.find("no fuzz equivalent"), std::string::npos) << Why;
+  for (const char *Name : {"LB", "IRIW", "WRC"})
+    EXPECT_NE(fuzz::unfuzzableReason(*findCatalogProgram(Name))
+                  .find("split-phase"),
+              std::string::npos)
+        << Name;
 
-  Program Init = parseOk("litmus t\nlocations x\ninit { x = 3 }\n"
-                         "thread 0 @ block 0 {\n  st x 1\n}\n"
-                         "thread 1 @ block 1 {\n  ld r0 x\n}\n");
-  EXPECT_FALSE(fuzz::fromLitmusProgram(Init, &Why));
-  EXPECT_NE(Why.find("all-zero initial state"), std::string::npos) << Why;
+  // Two threads of 20 accesses: C(40, 20) interleavings.
+  Program Big = Init;
+  for (litmus::ProgThread &T : Big.Threads)
+    T.Ops.assign(20, litmus::ProgOp::store(0, 1));
+  Big.Registers.clear();
+  EXPECT_EQ(fuzz::scInterleavings(Big), 137846528820u);
+  EXPECT_NE(fuzz::unfuzzableReason(Big).find("137846528820 interleavings"),
+            std::string::npos)
+      << fuzz::unfuzzableReason(Big);
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,6 +18,7 @@
 #include "litmus/Format.h"
 #include "litmus/Litmus.h"
 #include "model/ConsistencyChecker.h"
+#include "model/StreamingChecker.h"
 #include "sim/Device.h"
 #include "sim/ThreadContext.h"
 #include "stress/Environment.h"
@@ -310,6 +311,33 @@ TEST(CheckerTest, AcceptsCoherenceDrop) {
   const CheckResult R = Checker.check(Events);
   EXPECT_TRUE(R.AxiomsOk) << R.AxiomViolation;
   EXPECT_TRUE(R.Sc);
+}
+
+TEST(CheckerTest, DroppedStoreAfterAtomicsStaysBeforeItsSuperseder) {
+  // A store dropped after an atomic on its address takes its coherence
+  // position just before the newer plain write that superseded it, not
+  // between that atomic and a later RMW reading from it (which would fake
+  // a co;fr atomicity cycle). Both checkers must call the run SC.
+  const auto atomic = [](sim::Word Old, sim::Word New) {
+    return TraceEvent{TraceEventKind::Atomic, LoadSource::Memory, true, 0,
+                      0, 0, /*A=*/2, New, Old, 0};
+  };
+  const std::vector<TraceEvent> Events = {
+      storeIssue(1, 0, 2, 8, 2),
+      storeIssue(0, 0, 2, 1, 3),
+      storeDrain(0, 0, 2, 1, 3),
+      atomic(1, 4),
+      storeDrain(1, 0, 2, 8, 2, /*Applied=*/false),
+      atomic(4, 9),
+  };
+  ConsistencyChecker PostHoc;
+  const CheckResult R = PostHoc.check(Events);
+  EXPECT_TRUE(R.AxiomsOk) << R.AxiomViolation;
+  EXPECT_TRUE(R.Sc);
+  model::StreamingChecker Streaming;
+  const model::StreamVerdict &V = Streaming.checkAll(Events);
+  EXPECT_TRUE(V.AxiomsOk) << V.AxiomViolation;
+  EXPECT_FALSE(V.weak());
 }
 
 TEST(CheckerTest, FlagsSelfCoherenceViolation) {

@@ -284,7 +284,8 @@ TEST(ParallelDeterminismTest, FuzzBatch) {
   const auto B = fuzz::fuzzBatch(chip("980"), Cfg, 13, &Pool);
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I != A.size(); ++I) {
-    EXPECT_EQ(A[I].P.str(), B[I].P.str());
+    EXPECT_TRUE(A[I].P == B[I].P);
+    EXPECT_EQ(A[I].R.FirstWeak, B[I].R.FirstWeak);
     EXPECT_EQ(A[I].R.WeakOutcomes, B[I].R.WeakOutcomes);
     EXPECT_EQ(A[I].R.DistinctWeak, B[I].R.DistinctWeak);
     EXPECT_EQ(A[I].R.DistinctScSeen, B[I].R.DistinctScSeen);

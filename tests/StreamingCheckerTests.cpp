@@ -17,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Application.h"
-#include "fuzz/LitmusBridge.h"
 #include "fuzz/ProgramFuzzer.h"
 #include "harness/Campaign.h"
 #include "litmus/Litmus.h"
@@ -155,9 +154,8 @@ TEST(StreamingDifferentialTest, TwoHundredFuzzProgramsMatchPostHoc) {
   unsigned Compared = 0;
   for (unsigned PI = 0; PI != 200; ++PI) {
     Rng Gen(Rng::deriveStream(99, PI));
-    const fuzz::Program FP = fuzz::Program::generate(
+    const litmus::Program LP = fuzz::generateProgram(
         Gen, /*NumVars=*/3, /*OpsPerThread=*/5, /*WithFences=*/PI % 4 == 0);
-    const litmus::Program LP = fuzz::toLitmusProgram(FP, "fuzz-case");
     ASSERT_TRUE(LP.validate().empty()) << LP.validate();
     litmus::LitmusRunner Runner(Chip, Rng::deriveStream(100, PI));
     litmus::LitmusRunner::RunOpts Opts;

@@ -516,19 +516,18 @@ int cmdFuzz(const Options &Opts) {
       }
       return 0;
     }
-    std::string Why;
-    std::optional<fuzz::Program> P = fuzz::fromLitmusProgram(*L, &Why);
-    if (!P) {
+    const std::string Why = fuzz::unfuzzableReason(*L);
+    if (!Why.empty()) {
       std::fprintf(stderr, "error: '%s' is not fuzzable: %s\n",
                    Path.c_str(), Why.c_str());
       return 2;
     }
     const fuzz::FuzzResult R = fuzz::fuzzProgram(
-        *P, *Chip, Cfg.RunsPerProgram,
+        *L, *Chip, Cfg.RunsPerProgram,
         static_cast<uint64_t>(Opts.getInt("seed", 1)), /*Stressed=*/true);
     std::printf("%s%s: %u/%u non-SC outcomes (%u distinct, SC set %zu)\n",
-                P->str().c_str(), L->Name.c_str(), R.WeakOutcomes, R.Runs,
-                R.DistinctWeak, R.ScSetSize);
+                litmus::printLitmus(*L).c_str(), L->Name.c_str(),
+                R.WeakOutcomes, R.Runs, R.DistinctWeak, R.ScSetSize);
     return 0;
   }
 
@@ -544,7 +543,7 @@ int cmdFuzz(const Options &Opts) {
     std::printf("program %zu: %u/%u non-SC outcomes (%u distinct, SC set "
                 "%zu)\n%s",
                 I, R.WeakOutcomes, R.Runs, R.DistinctWeak, R.ScSetSize,
-                Batch[I].P.str().c_str());
+                litmus::printLitmus(Batch[I].P).c_str());
     // --export-weak: shrink the failing case to a replayable .litmus
     // artifact whose forbidden clause pins the first observed non-SC
     // outcome (re-run with `gpuwmm litmus --file` or `gpuwmm fuzz
@@ -564,7 +563,7 @@ int cmdFuzz(const Options &Opts) {
       std::printf("  exported to %s\n", Path.c_str());
     }
   }
-  std::printf("%u/%u programs exhibited weak outcomes under sys-str+\n",
+  std::printf("%u/%u programs exhibited weak outcomes under tuned stress\n",
               WeakProgs, Cfg.Programs);
   return 0;
 }
