@@ -14,6 +14,12 @@
 //  * post-hoc:   record, then replay the trace through the reference
 //                checker — what --oracle cost before the streaming rework.
 //
+// A second section measures the oracle on application traces (the unit a
+// `campaign --oracle=all` app cell pays per run): recorded ls-bh and
+// cbe-ht runs under sys-str+ replayed through a full-scope checker and an
+// axioms-only one (StreamScope::Axioms, what campaign app cells use), in
+// interleaved repetitions, reported as ns/event.
+//
 // Hard failure conditions:
 //  * any arm's weak-outcome sequence differs from the off arm's (the
 //    oracle perturbed the simulation — a determinism-contract violation),
@@ -23,17 +29,23 @@
 //    arm (the in-process relative budget: checking while tracing may cost
 //    a bounded multiple of tracing alone, measured in the same process so
 //    machine speed cancels out), or
+//  * the axioms-only scope judges any app trace differently from the full
+//    scope (AxiomsOk, the violation message or its event pair), or costs
+//    more than AXIOMS_BUDGET times the full scope per event, or
 //  * a baseline JSON is supplied (--baseline=FILE or GPUWMM_BENCH_BASELINE)
 //    and the off-arm throughput regressed more than 2% against its
 //    committed off_runs_per_sec (bench/baselines/; same-machine only).
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Application.h"
 #include "litmus/Litmus.h"
 #include "model/ConsistencyChecker.h"
 #include "model/StreamingChecker.h"
 #include "stress/Environment.h"
 #include "support/Options.h"
+#include "support/Rng.h"
+#include "support/Statistics.h"
 #include "support/Table.h"
 
 #include <chrono>
@@ -55,6 +67,11 @@ namespace {
 /// container; 3.5x leaves noise headroom while still catching an
 /// accidental per-event allocation or a quadratic frontier walk.
 constexpr double StreamBudget = 3.5;
+
+/// The in-process relative budget of the axioms-only scope on app traces:
+/// dropping the causality graph must at least halve the per-event cost
+/// (measured 0.02–0.05x on a 4-core x86 host, GCC 12.2 Release).
+constexpr double AxiomsBudget = 0.5;
 
 double now() {
   return std::chrono::duration<double>(
@@ -80,6 +97,39 @@ double baselineOffRunsPerSec(const std::string &Path) {
     return -1.0;
   }
   return std::strtod(Text.str().c_str() + At + Key.size(), nullptr);
+}
+
+/// One app's recorded traces and how the two scopes judged them.
+struct AppTraceArm {
+  apps::AppKind App;
+  std::vector<std::vector<sim::TraceEvent>> Traces;
+  uint64_t Events = 0;
+  unsigned Mismatches = 0, Violations = 0;
+};
+
+/// Replays every trace of \p Arm through \p Checker; returns seconds.
+double replayTraces(const AppTraceArm &Arm, model::StreamingChecker &Checker) {
+  const double Start = now();
+  for (const auto &T : Arm.Traces)
+    (void)Checker.checkAll(T);
+  return now() - Start;
+}
+
+/// Judges every trace of \p Arm in both scopes and counts the traces
+/// whose axiom verdicts differ.
+void compareScopes(AppTraceArm &Arm, model::StreamingChecker &Full,
+                   model::StreamingChecker &Axioms) {
+  for (const auto &T : Arm.Traces) {
+    const model::StreamVerdict A = Full.checkAll(T);
+    const model::StreamVerdict &B = Axioms.checkAll(T);
+    Arm.Violations += !A.AxiomsOk;
+    // The event pair names a violation only when the axioms fail (on a
+    // weak full-scope run it is the cycle's decisive pair instead).
+    Arm.Mismatches += A.AxiomsOk != B.AxiomsOk ||
+                      A.AxiomViolation != B.AxiomViolation ||
+                      (!A.AxiomsOk && (A.ViolatingA != B.ViolatingA ||
+                                       A.ViolatingB != B.ViolatingB));
+  }
 }
 
 } // namespace
@@ -178,6 +228,66 @@ int main(int Argc, char **Argv) {
   std::printf("streaming weak verdicts: %u/%u; violations: %u\n",
               StreamWeakVerdicts, Runs, StreamViolations);
 
+  // --- App traces: full scope vs axioms-only -------------------------------
+  const unsigned AppRuns = scaledCount(40, 2);
+  const unsigned Reps = 5;
+  const stress::Environment SysStr{stress::StressKind::Sys, true};
+  std::vector<AppTraceArm> AppArms;
+  for (apps::AppKind App : {apps::AppKind::LsBh, apps::AppKind::CbeHt}) {
+    AppTraceArm Arm;
+    Arm.App = App;
+    sim::ExecutionContext Ctx;
+    Ctx.requestTracing(true);
+    for (unsigned Run = 0; Run != AppRuns; ++Run) {
+      (void)apps::runApplicationOnce(Ctx, App, Chip, SysStr, Tuned,
+                                     /*Policy=*/nullptr,
+                                     Rng::deriveStream(Seed, Run));
+      Arm.Traces.push_back(Ctx.trace().events());
+      Arm.Events += Ctx.trace().size();
+    }
+    AppArms.push_back(std::move(Arm));
+  }
+  model::StreamingChecker FullChecker;
+  model::StreamingChecker AxiomsChecker(model::StreamScope::Axioms);
+  bool ScopesAgree = true, AppsClean = true, AppsWithinBudget = true;
+  Table AT({"app", "traces", "events", "full ns/event", "axioms ns/event",
+            "axioms/full", "verdicts"});
+  std::string AppJson;
+  for (AppTraceArm &Arm : AppArms) {
+    compareScopes(Arm, FullChecker, AxiomsChecker);
+    std::vector<double> FullSeconds, AxiomsSeconds;
+    for (unsigned Rep = 0; Rep != Reps; ++Rep) {
+      FullSeconds.push_back(replayTraces(Arm, FullChecker));
+      AxiomsSeconds.push_back(replayTraces(Arm, AxiomsChecker));
+    }
+    const double FullNs = 1e9 * median(FullSeconds) / Arm.Events;
+    const double AxiomsNs = 1e9 * median(AxiomsSeconds) / Arm.Events;
+    const double Ratio = FullNs > 0.0 ? AxiomsNs / FullNs : 0.0;
+    ScopesAgree = ScopesAgree && Arm.Mismatches == 0;
+    AppsClean = AppsClean && Arm.Violations == 0;
+    AppsWithinBudget = AppsWithinBudget && Ratio <= AxiomsBudget;
+    AT.addRow({apps::appName(Arm.App), std::to_string(Arm.Traces.size()),
+               std::to_string(Arm.Events), formatDouble(FullNs, 1),
+               formatDouble(AxiomsNs, 1), formatDouble(Ratio, 2),
+               Arm.Mismatches ? "DIFFER" : "identical"});
+    char Buf[256];
+    std::snprintf(Buf, sizeof(Buf),
+                  ", \"%s_full_ns_per_event\": %.1f, "
+                  "\"%s_axioms_ns_per_event\": %.1f",
+                  apps::appName(Arm.App), FullNs, apps::appName(Arm.App),
+                  AxiomsNs);
+    AppJson += Buf;
+  }
+  std::printf("\napp traces (sys-str+, %u runs per app, median of %u "
+              "interleaved repetitions):\n",
+              AppRuns, Reps);
+  AT.print(std::cout);
+  std::printf("\naxioms-only vs full scope: budget %.1fx -> %s; "
+              "verdicts %s; violations %s\n",
+              AxiomsBudget, AppsWithinBudget ? "ok" : "OVER BUDGET",
+              ScopesAgree ? "identical" : "DIFFER",
+              AppsClean ? "none" : "FOUND");
+
   // Optional committed-baseline guard for the off path (>2% regression
   // fails). Same-machine comparisons only — never enabled blindly in CI.
   bool BaselineOk = true;
@@ -203,11 +313,15 @@ int main(int Argc, char **Argv) {
   std::printf("\n{\"bench\": \"streaming_oracle\", \"runs\": %u, "
               "\"off_runs_per_sec\": %.0f, \"trace_runs_per_sec\": %.0f, "
               "\"stream_runs_per_sec\": %.0f, \"posthoc_runs_per_sec\": "
-              "%.0f, \"stream_vs_trace_ratio\": %.2f, \"identical\": %s}\n",
+              "%.0f, \"stream_vs_trace_ratio\": %.2f%s, "
+              "\"identical\": %s}\n",
               Runs, OffRate, TraceRate, StreamRate, PostRate, StreamRatio,
-              Identical ? "true" : "false");
+              AppJson.c_str(), Identical && ScopesAgree ? "true" : "false");
 
   // Identity and axiom-cleanliness are correctness contracts; the relative
-  // budget is the "checking every run is affordable" contract.
-  return Identical && Clean && WithinBudget && BaselineOk ? 0 : 1;
+  // budgets are the "checking every run is affordable" contract.
+  return Identical && Clean && WithinBudget && ScopesAgree && AppsClean &&
+                 AppsWithinBudget && BaselineOk
+             ? 0
+             : 1;
 }

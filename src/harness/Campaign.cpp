@@ -73,14 +73,15 @@ uint64_t canonicalLitmusIndex(const litmus::Program &Test) {
 /// streaming checker attached, and the unchecked stretches between
 /// samples go through the batched engine. Per-run verdicts (and the
 /// oracle's sampling grid) are bit-identical to the all-scalar loop for
-/// every chunking.
+/// every chunking. App cells read only the axioms' verdict, so the checker
+/// runs axioms-only: no causality graph is built for them.
 void runCellChunk(apps::AppKind App, const sim::ChipProfile &Chip,
                   const stress::Environment &Env,
                   const stress::TunedStressParams &Tuned, uint64_t CellSeed,
                   unsigned Begin, unsigned End, unsigned OracleEvery,
                   apps::AppVerdict *Verdicts, uint8_t *OracleStatus) {
   sim::ContextLease Ctx;
-  thread_local model::StreamingChecker Checker;
+  thread_local model::StreamingChecker Checker(model::StreamScope::Axioms);
   std::vector<uint64_t> Seeds;
   unsigned Run = Begin;
   while (Run != End) {

@@ -48,9 +48,9 @@ struct CampaignConfig {
   /// oracle (gpuwmm campaign --oracle=N; --oracle=all means N=1): checked
   /// app runs stream their events through the incremental checker
   /// (model/StreamingChecker.h) and are validated against the model's
-  /// axioms as they execute — no trace is retained, so memory stays
-  /// bounded by the checker's frontier and checking every run is the
-  /// default-capable path. Checked litmus runs additionally compare the
+  /// axioms as they execute (axioms only: no causality graph is built)
+  /// — no trace is retained, so memory stays bounded by the run's
+  /// footprint and checking every run is the default-capable path. Checked litmus runs additionally compare the
   /// checker's SC-vs-weak verdict with the operational outcome. 0 (the
   /// default) disables the oracle and keeps the oracle tally fields out
   /// of the JSON report entirely. The oracle observes only, so counts

@@ -44,7 +44,7 @@ int hunt::axiomKeyIndex(const std::string &ViolationMessage) {
 std::string CorpusManifest::render() const {
   std::string S;
   S += "{\n";
-  S += "  \"schema\": \"gpuwmm-hunt-manifest-v2\",\n";
+  S += "  \"schema\": \"gpuwmm-hunt-manifest-v3\",\n";
   S += "  \"report_schema\": \"gpuwmm-hunt-v1\",\n";
   S += "  \"tool\": {\"name\": \"gpuwmm\", \"version\": \"" GPUWMM_VERSION
        "\"},\n";

@@ -78,7 +78,8 @@ struct CorpusEntry {
   uint64_t CrossChecks = 0;
   unsigned ProvokingRegion = 0;
   // Harden stage (Alg. 1; attempts > 1 when a verify-clean fence set
-  // needed budget escalation).
+  // needed budget escalation; attempt 6 records every site fenced after
+  // five refuted reductions, with 0 rounds and HardenStable false).
   unsigned FenceSites = 0, Fences = 0, HardenRounds = 0;
   unsigned HardenAttempts = 0;
   bool HardenStable = false;

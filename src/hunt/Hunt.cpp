@@ -60,8 +60,8 @@ struct Survivor {
   CorpusEntry E; ///< Shrink-stage fields filled; rest after harden.
 };
 
-/// Hardening attempts per survivor before giving up and recording the
-/// residual violations honestly (each attempt doubles Alg. 1's budgets).
+/// Hardening attempts per survivor before falling back to Alg. 1's
+/// starting point (each attempt doubles Alg. 1's budgets).
 constexpr unsigned MaxHardenAttempts = 5;
 
 /// Hardens one survivor at its provoking stress region, then runs the
@@ -71,8 +71,12 @@ constexpr unsigned MaxHardenAttempts = 5;
 /// hardened program still shows a non-SC run on it (Alg. 1's empirical
 /// checks are statistical — a rare reordering can slip past them),
 /// hardening is retried with doubled check/stability budgets and a fresh
-/// oracle seed until the verify stream is clean. Pure function of
-/// (survivor, seeds) — safe as a parallel per-index stage.
+/// oracle seed until the verify stream is clean. When every attempt is
+/// refuted, the entry records Alg. 1's starting point instead — every
+/// site fenced, unreduced (harden_stable false, attempt
+/// MaxHardenAttempts + 1) — with that program's verify tally, residual
+/// violations included. Pure function of (survivor, seeds) — safe as a
+/// parallel per-index stage.
 void hardenAndVerify(Survivor &S, const HuntConfig &Cfg,
                      uint64_t HardenSeed, uint64_t VerifySeed) {
   const auto Tuned = stress::TunedStressParams::paperDefaults(*Cfg.Chip);
@@ -82,6 +86,37 @@ void hardenAndVerify(Survivor &S, const HuntConfig &Cfg,
                 Tuned.Seq, (S.E.ProvokingRegion % Cfg.Chip->NumBanks) *
                                Tuned.PatchWords)
           : litmus::LitmusRunner::MicroStress::none();
+
+  // Runs \p Hardened on the fixed verify stream; true when it is clean.
+  const auto verify = [&](const litmus::Program &Hardened) {
+    S.E.VerifyRuns = Cfg.VerifyRuns;
+    S.E.VerifyWeak = S.E.VerifyForbidden = 0;
+    S.E.AxiomViolations = {};
+    litmus::LitmusRunner Runner(*Cfg.Chip, VerifySeed);
+    model::StreamingChecker Checker;
+    litmus::LitmusRunOpts Opts;
+    Opts.Sink = &Checker;
+    for (unsigned Run = 0; Run != Cfg.VerifyRuns; ++Run) {
+      Checker.begin();
+      const bool Forbidden =
+          Runner.runOnce(Hardened, Cfg.Distance, Stress, Opts);
+      const model::StreamVerdict &V = Checker.finish();
+      if (Forbidden)
+        ++S.E.VerifyForbidden;
+      if (!V.AxiomsOk) {
+        const int Idx = axiomKeyIndex(V.AxiomViolation);
+        if (Idx >= 0)
+          ++S.E.AxiomViolations[Idx];
+      } else if (V.weak()) {
+        ++S.E.VerifyWeak;
+        ++S.E.AxiomViolations[axiomKeyIndex("causality")];
+      }
+    }
+    bool Clean = S.E.VerifyWeak == 0;
+    for (uint64_t N : S.E.AxiomViolations)
+      Clean = Clean && N == 0;
+    return Clean;
+  };
 
   for (unsigned Attempt = 0; Attempt != MaxHardenAttempts; ++Attempt) {
     harden::LitmusHardenOptions HO;
@@ -99,36 +134,17 @@ void hardenAndVerify(Survivor &S, const HuntConfig &Cfg,
     S.E.HardenRounds = HR.Insertion.Rounds;
     S.E.HardenStable = HR.Insertion.Stable;
     S.E.HardenAttempts = Attempt + 1;
-
-    S.E.VerifyRuns = Cfg.VerifyRuns;
-    S.E.VerifyWeak = S.E.VerifyForbidden = 0;
-    S.E.AxiomViolations = {};
-    litmus::LitmusRunner Runner(*Cfg.Chip, VerifySeed);
-    model::StreamingChecker Checker;
-    litmus::LitmusRunOpts Opts;
-    Opts.Sink = &Checker;
-    for (unsigned Run = 0; Run != Cfg.VerifyRuns; ++Run) {
-      Checker.begin();
-      const bool Forbidden =
-          Runner.runOnce(HR.Hardened, Cfg.Distance, Stress, Opts);
-      const model::StreamVerdict &V = Checker.finish();
-      if (Forbidden)
-        ++S.E.VerifyForbidden;
-      if (!V.AxiomsOk) {
-        const int Idx = axiomKeyIndex(V.AxiomViolation);
-        if (Idx >= 0)
-          ++S.E.AxiomViolations[Idx];
-      } else if (V.weak()) {
-        ++S.E.VerifyWeak;
-        ++S.E.AxiomViolations[axiomKeyIndex("causality")];
-      }
-    }
-    bool Clean = S.E.VerifyWeak == 0;
-    for (uint64_t N : S.E.AxiomViolations)
-      Clean = Clean && N == 0;
-    if (Clean)
+    if (verify(HR.Hardened))
       return;
   }
+
+  const sim::FencePolicy All = sim::FencePolicy::all(S.E.FenceSites);
+  S.E.Annotated = harden::annotateOptFences(S.Canon, All);
+  S.E.Fences = S.E.FenceSites;
+  S.E.HardenRounds = 0;
+  S.E.HardenStable = false;
+  S.E.HardenAttempts = MaxHardenAttempts + 1;
+  (void)verify(harden::applyLitmusFences(S.Canon, All));
 }
 
 } // namespace

@@ -2,10 +2,12 @@
 //
 // The axiomatic checker as an incremental trace consumer. The replay
 // axioms are the same forward scan ConsistencyChecker.cpp performs — the
-// logic is ported statement for statement so the first violation (message
-// and violating event indices) is identical by construction. The
-// causality relation is maintained as a live graph with incremental cycle
-// detection and frontier-bounded retirement (DESIGN.md Sec. 15).
+// logic is ported statement for statement, over dense per-thread,
+// per-bank and per-address state instead of hash maps, so the first
+// violation (message and violating event indices) is identical by
+// construction. The causality relation is maintained as a live graph with
+// incremental cycle detection and frontier-bounded retirement (DESIGN.md
+// Sec. 15); an axioms-only checker never builds it.
 //
 // Retirement soundness leans on one engine invariant: store ids
 // (NextStoreId, shared with host writes) are monotonic in issue order, so
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 
 using namespace gpuwmm;
 using namespace gpuwmm::model;
@@ -41,10 +44,6 @@ enum : uint8_t {
   PinWatchedReader = 16, ///< A read whose fr target can still change.
   PinVisible = 32,       ///< An address's current visible writer (rf source).
 };
-
-uint64_t tidBankKey(unsigned Tid, unsigned Bank) {
-  return (static_cast<uint64_t>(Tid) << 32) | Bank;
-}
 
 /// Latches the first axiom violation (same message and indices the
 /// post-hoc checker would report), keeping event copies for rendering.
@@ -89,19 +88,48 @@ bool hasTarget(const std::vector<std::pair<uint64_t, EdgeKind>> &Out,
 
 } // namespace
 
-/// All incremental state, recycled across begin() calls (clear() keeps
-/// hash buckets and vector capacity). Namespace scope — not nested in the
-/// checker — so the file-local graph helper can name it.
+/// All incremental state, recycled across begin() calls. Namespace scope —
+/// not nested in the checker — so the file-local graph helper can name it.
+///
+/// The axiom state is dense: per thread, per (thread, bank) and per
+/// address, indexed by the engine's own ids (thread ids, bank numbers and
+/// word addresses are all small and dense), so an event costs array
+/// indexing rather than hash lookups. It is bounded by the run's footprint
+/// — the threads, banks and words the run touched — and begin() resets
+/// exactly what the previous run touched, keeping every allocation (the
+/// MemorySystem reset pattern, DESIGN.md Sec. 12).
 struct gpuwmm::model::detail::StreamingCheckerState {
   // --- Replay-axiom state (mirrors ConsistencyChecker's ReplayScratch) ----
   /// One thread's un-drained buffered store on one bank, with a copy of
-  /// its issue event (explanations render without the trace).
+  /// its issue event (explanations render without the trace); the store
+  /// id, address and value are the event's.
   struct PendingStore {
     uint64_t Node; ///< Global index of the StoreIssue event.
-    uint64_t Id;
-    Addr A;
-    Word V;
     TraceEvent Ev;
+    bool Promoted; ///< A block fence made it block-visible.
+  };
+  /// One (thread, bank)'s buffered stores in issue order: slots with a
+  /// head cursor, rewound when the queue empties, so the backing
+  /// allocation is reused across entries and runs.
+  struct BankState {
+    std::vector<PendingStore> Slots;
+    size_t Head = 0;
+    unsigned Async = 0; ///< Pending split-phase loads on the bank.
+
+    bool empty() const { return Head == Slots.size(); }
+    PendingStore &front() { return Slots[Head]; }
+    void popFront() {
+      if (++Head == Slots.size()) {
+        Slots.clear();
+        Head = 0;
+      }
+    }
+  };
+  struct ThreadState {
+    unsigned PendingStores = 0; ///< Over all banks.
+    unsigned PendingAsync = 0;  ///< Over all banks.
+    bool Touched = false;       ///< Listed in TouchedTids.
+    std::vector<BankState> Banks; ///< Grown to the highest bank seen.
   };
   /// One live block-visible value.
   struct OverlayEnt {
@@ -116,15 +144,11 @@ struct gpuwmm::model::detail::StreamingCheckerState {
     uint64_t Node;
     TraceEvent Ev;
   };
-  std::unordered_map<uint64_t, std::deque<PendingStore>> Pending;
-  std::unordered_map<unsigned, unsigned> PendingByTid;
-  std::unordered_map<uint64_t, unsigned> AsyncByTidBank;
-  std::unordered_map<unsigned, unsigned> AsyncByTid;
+  std::vector<ThreadState> Threads; ///< By thread id.
+  std::vector<unsigned> TouchedTids;
   std::unordered_map<uint64_t, AsyncIssueEnt> AsyncIssueAt; ///< By ticket.
-  std::unordered_map<Addr, std::vector<OverlayEnt>> Overlay;
-  std::unordered_set<uint64_t> PromotedIds;
 
-  // --- Per-address coherence state ----------------------------------------
+  // --- Per-address state ----------------------------------------------------
   /// One write in the live coherence window.
   struct CoEnt {
     uint64_t Node;
@@ -132,18 +156,26 @@ struct gpuwmm::model::detail::StreamingCheckerState {
     bool Plain; ///< Carries a store id (StoreIssue/HostWrite, not Atomic).
     std::vector<uint64_t> Readers; ///< Watched readers of this write.
   };
+  /// An address the run touched. A fresh entry reads exactly as an
+  /// untouched address: value 0, no writer, no block-visible value.
   struct AddrState {
+    Addr A = 0;
     // Axiom-side (always maintained).
     Word Val = 0;                  ///< Globally visible value.
     uint64_t PlainMax = 0;         ///< MemWriteId mirror.
     uint64_t VisibleNode = NoNode; ///< Writer of Val (its issue node).
     TraceEvent VisibleEv;          ///< Copy of that writer's event.
-    // Graph-side (idle once a cycle is found).
+    std::vector<OverlayEnt> Overlay; ///< Live block-visible values.
+    // Graph-side (idle once a cycle is found, or axioms-only).
     unsigned PendingStores = 0;        ///< Buffered stores to this address.
     std::vector<CoEnt> Co;             ///< Live coherence window.
     std::vector<uint64_t> InitReaders; ///< Watched initial-state readers.
   };
-  std::unordered_map<Addr, AddrState> Addrs;
+  /// Address -> 1 + its index in AddrPool (0 = untouched this run).
+  std::vector<uint32_t> SlotOf;
+  /// Recycled per-address states; the first AddrsUsed are this run's.
+  std::vector<AddrState> AddrPool;
+  size_t AddrsUsed = 0;
 
   // --- Live causality graph -----------------------------------------------
   struct GNode {
@@ -159,7 +191,7 @@ struct gpuwmm::model::detail::StreamingCheckerState {
   std::unordered_map<uint64_t, std::vector<uint64_t>> PendingReaders;
   std::unordered_map<unsigned, uint64_t> LastPo;
   uint64_t DfsStamp = 0;
-  bool GraphDead = false; ///< Cycle found: graph dropped, axioms continue.
+  bool GraphDead = false; ///< Graph dropped (cycle found, or axioms-only).
   bool Done = false;      ///< Axiom violated: remaining events are skipped.
 
   TraceEvent LastEv; ///< Copy of the most recent event (end-of-run anchor).
@@ -170,15 +202,32 @@ struct gpuwmm::model::detail::StreamingCheckerState {
   };
   std::vector<Frame> Stack; ///< DFS scratch.
 
+  /// Forgets the previous run in O(what it touched), keeping capacity.
   void clear() {
-    Pending.clear();
-    PendingByTid.clear();
-    AsyncByTidBank.clear();
-    AsyncByTid.clear();
+    for (unsigned Tid : TouchedTids) {
+      ThreadState &T = Threads[Tid];
+      T.PendingStores = T.PendingAsync = 0;
+      T.Touched = false;
+      for (BankState &B : T.Banks) {
+        B.Slots.clear();
+        B.Head = 0;
+        B.Async = 0;
+      }
+    }
+    TouchedTids.clear();
     AsyncIssueAt.clear();
-    Overlay.clear();
-    PromotedIds.clear();
-    Addrs.clear();
+    for (size_t K = 0; K != AddrsUsed; ++K) {
+      AddrState &AS = AddrPool[K];
+      SlotOf[AS.A] = 0;
+      AS.Val = 0;
+      AS.PlainMax = 0;
+      AS.VisibleNode = NoNode;
+      AS.Overlay.clear();
+      AS.PendingStores = 0;
+      AS.Co.clear();
+      AS.InitReaders.clear();
+    }
+    AddrsUsed = 0;
     Live.clear();
     PendingReaders.clear();
     LastPo.clear();
@@ -187,6 +236,38 @@ struct gpuwmm::model::detail::StreamingCheckerState {
     Done = false;
     LastEv = TraceEvent();
     Stack.clear();
+  }
+
+  ThreadState &thread(unsigned Tid) {
+    if (Tid >= Threads.size())
+      Threads.resize(Tid + 1);
+    ThreadState &T = Threads[Tid];
+    if (!T.Touched) {
+      T.Touched = true;
+      TouchedTids.push_back(Tid);
+    }
+    return T;
+  }
+
+  BankState &bank(ThreadState &T, unsigned Bank) {
+    if (Bank >= T.Banks.size())
+      T.Banks.resize(Bank + 1);
+    return T.Banks[Bank];
+  }
+
+  /// \p A's state, made on first touch. References stay valid until the
+  /// next first touch of another address (one event touches one).
+  AddrState &addr(Addr A) {
+    if (A >= SlotOf.size())
+      SlotOf.resize(static_cast<size_t>(A) + 1, 0);
+    uint32_t &Slot = SlotOf[A];
+    if (Slot == 0) {
+      if (AddrsUsed == AddrPool.size())
+        AddrPool.emplace_back();
+      AddrPool[AddrsUsed].A = A;
+      Slot = static_cast<uint32_t>(++AddrsUsed);
+    }
+    return AddrPool[Slot - 1];
   }
 
   GNode *node(uint64_t I) {
@@ -495,7 +576,7 @@ struct Graph {
   void noteRead(uint64_t Reader, Addr A, uint64_t W, bool RfPending) {
     if (S.GraphDead)
       return;
-    AddrState &AS = S.Addrs[A];
+    AddrState &AS = S.addr(A);
     if (W == NoNode) {
       // Initial-state read: from-read to the window front; watched while
       // the front can still change (no write yet, or inserts possible).
@@ -543,12 +624,17 @@ struct Graph {
 
 } // namespace
 
-StreamingChecker::StreamingChecker() : St(std::make_unique<State>()) {}
+StreamingChecker::StreamingChecker(StreamScope Scope)
+    : Scope(Scope), St(std::make_unique<State>()) {
+  R.CausalityChecked = Scope == StreamScope::Full;
+}
 StreamingChecker::~StreamingChecker() = default;
 
 void StreamingChecker::begin() {
   St->clear();
+  St->GraphDead = Scope == StreamScope::Axioms;
   R = StreamVerdict();
+  R.CausalityChecked = Scope == StreamScope::Full;
   Consumed = 0;
   PeakLive = 0;
   Retired = 0;
@@ -569,81 +655,67 @@ void StreamingChecker::event(const TraceEvent &E) {
   S.LastEv = E;
   Graph G{S, R, PeakLive, Retired};
 
-  const uint64_t Key = tidBankKey(E.Tid, E.Bank);
-  const auto globalValue = [&](Addr A) {
-    const auto It = S.Addrs.find(A);
-    return It == S.Addrs.end() ? Word{0} : It->second.Val;
-  };
-  const auto plainMaxId = [&](Addr A) {
-    const auto It = S.Addrs.find(A);
-    return It == S.Addrs.end() ? uint64_t{0} : It->second.PlainMax;
-  };
-  const auto overlayFor = [&](unsigned Block, Addr A) -> State::OverlayEnt * {
-    const auto It = S.Overlay.find(A);
-    if (It == S.Overlay.end())
-      return nullptr;
-    for (State::OverlayEnt &O : It->second)
+  const auto overlayFor = [](State::AddrState &AS,
+                             unsigned Block) -> State::OverlayEnt * {
+    for (State::OverlayEnt &O : AS.Overlay)
       if (O.Block == Block)
         return &O;
     return nullptr;
   };
-  const auto newestPendingTo = [&](uint64_t K,
-                                   Addr A) -> State::PendingStore * {
-    const auto It = S.Pending.find(K);
-    if (It == S.Pending.end())
-      return nullptr;
-    for (auto RIt = It->second.rbegin(); RIt != It->second.rend(); ++RIt)
-      if (RIt->A == A)
-        return &*RIt;
+  const auto newestPendingTo = [](State::BankState &B,
+                                  Addr A) -> State::PendingStore * {
+    for (size_t K = B.Slots.size(); K != B.Head; --K)
+      if (B.Slots[K - 1].Ev.A == A)
+        return &B.Slots[K - 1];
     return nullptr;
   };
   // Violations that reference the visible writer use its node index when
   // one exists, else the current event — as the post-hoc checker does.
-  const auto visibleOr = [&](Addr A, size_t Self) {
-    const auto It = S.Addrs.find(A);
-    return It == S.Addrs.end() || It->second.VisibleNode == NoNode
-               ? Self
-               : static_cast<size_t>(It->second.VisibleNode);
+  const auto visibleOr = [](const State::AddrState &AS, size_t Self) {
+    return AS.VisibleNode == NoNode ? Self
+                                    : static_cast<size_t>(AS.VisibleNode);
   };
-  const auto visibleEvOr = [&](Addr A,
-                               const TraceEvent *Self) -> const TraceEvent * {
-    const auto It = S.Addrs.find(A);
-    return It == S.Addrs.end() || It->second.VisibleNode == NoNode
-               ? Self
-               : &It->second.VisibleEv;
+  const auto visibleEvOr =
+      [](const State::AddrState &AS,
+         const TraceEvent *Self) -> const TraceEvent * {
+    return AS.VisibleNode == NoNode ? Self : &AS.VisibleEv;
   };
 
   switch (E.Kind) {
   case TraceEventKind::StoreIssue: {
-    if (S.AsyncByTidBank[Key] != 0)
+    State::ThreadState &T = S.thread(E.Tid);
+    State::BankState &B = S.bank(T, E.Bank);
+    if (B.Async != 0)
       violate(R,
               "same-bank issue order: store issued while a split-phase "
               "load is pending on its bank",
               I, I, &E, &E);
-    S.Pending[Key].push_back({I, E.Id, E.A, E.V, E});
-    ++S.PendingByTid[E.Tid];
+    B.Slots.push_back({I, E, /*Promoted=*/false});
+    ++T.PendingStores;
     if (!S.GraphDead) {
       G.makeNode(I, E);
       G.pin(I, PinPendingStore);
-      ++S.Addrs[E.A].PendingStores;
+      ++S.addr(E.A).PendingStores;
       G.addPo(E.Tid, I);
     }
     break;
   }
   case TraceEventKind::StoreDrain: {
-    auto &Q = S.Pending[Key];
-    if (Q.empty() || Q.front().Id != E.Id) {
+    State::ThreadState &T = S.thread(E.Tid);
+    State::BankState &B = S.bank(T, E.Bank);
+    if (B.empty() || B.front().Ev.Id != E.Id) {
       violate(R,
               "same-bank FIFO: a store drained out of its bank's issue "
               "order",
-              Q.empty() ? I : Q.front().Node, I,
-              Q.empty() ? &E : &Q.front().Ev, &E);
+              B.empty() ? I : B.front().Node, I,
+              B.empty() ? &E : &B.front().Ev, &E);
       break;
     }
-    const State::PendingStore Front = Q.front();
-    Q.pop_front();
-    --S.PendingByTid[E.Tid];
-    const bool ShouldApply = E.Id >= plainMaxId(E.A);
+    const State::PendingStore Front = B.front();
+    B.popFront();
+    --T.PendingStores;
+    State::AddrState &AS = S.addr(E.A);
+    const bool ShouldApply = E.Id >= AS.PlainMax;
     if (E.Flag != ShouldApply) {
       violate(R,
               "coherence-per-location: a drain was applied/dropped "
@@ -651,18 +723,14 @@ void StreamingChecker::event(const TraceEvent &E) {
               Front.Node, I, &Front.Ev, &E);
       break;
     }
-    const bool WasPromoted = S.PromotedIds.count(E.Id) != 0;
-    if (WasPromoted) {
+    if (Front.Promoted) {
       // The drain retires exactly its own block-visible value.
-      auto It = S.Overlay.find(E.A);
-      if (It != S.Overlay.end())
-        for (size_t K = 0; K != It->second.size(); ++K)
-          if (It->second[K].Id == E.Id) {
-            It->second.erase(It->second.begin() + static_cast<ptrdiff_t>(K));
-            break;
-          }
+      for (size_t K = 0; K != AS.Overlay.size(); ++K)
+        if (AS.Overlay[K].Id == E.Id) {
+          AS.Overlay.erase(AS.Overlay.begin() + static_cast<ptrdiff_t>(K));
+          break;
+        }
     }
-    State::AddrState &AS = S.Addrs[E.A];
     if (!S.GraphDead && AS.PendingStores != 0)
       --AS.PendingStores;
     if (E.Flag) {
@@ -675,8 +743,8 @@ void StreamingChecker::event(const TraceEvent &E) {
       G.transferVisible(OldVisible, Front.Node);
       // A write that reaches globally visible memory through the plain
       // path invalidates every block-visible value for the address.
-      if (!WasPromoted)
-        S.Overlay.erase(E.A);
+      if (!Front.Promoted)
+        AS.Overlay.clear();
     } else {
       G.coInsertDropped(AS, Front.Node, E.Id);
     }
@@ -686,29 +754,29 @@ void StreamingChecker::event(const TraceEvent &E) {
     break;
   }
   case TraceEventKind::LoadBind: {
-    const State::PendingStore *Newest = newestPendingTo(Key, E.A);
-    const State::OverlayEnt *OV = overlayFor(E.Block, E.A);
+    State::ThreadState &T = S.thread(E.Tid);
+    State::BankState &B = S.bank(T, E.Bank);
+    State::AddrState &AS = S.addr(E.A);
+    const State::PendingStore *Newest = newestPendingTo(B, E.A);
+    const State::OverlayEnt *OV = overlayFor(AS, E.Block);
     uint64_t Rf = NoNode;
     bool RfPending = false;
     switch (E.Source) {
     case LoadSource::Memory: {
-      const auto It = S.Pending.find(Key);
-      if (It != S.Pending.end() && !It->second.empty())
+      if (!B.empty())
         violate(R,
                 "self-coherence: a load bound from memory while the "
                 "thread still buffered stores on the load's bank",
-                It->second.front().Node, I, &It->second.front().Ev, &E);
+                B.front().Node, I, &B.front().Ev, &E);
       else if (OV)
         violate(R,
                 "forwarding: a load bound from memory past a live "
                 "block-visible value",
                 OV->Node, I, &OV->Ev, &E);
-      else if (E.V != globalValue(E.A))
+      else if (E.V != AS.Val)
         violate(R, "read-value: a load bound a value no write produced",
-                visibleOr(E.A, I), I, visibleEvOr(E.A, &E), &E);
-      const auto AIt = S.Addrs.find(E.A);
-      if (AIt != S.Addrs.end())
-        Rf = AIt->second.VisibleNode;
+                visibleOr(AS, I), I, visibleEvOr(AS, &E), &E);
+      Rf = AS.VisibleNode;
       break;
     }
     case LoadSource::Forward: {
@@ -717,17 +785,17 @@ void StreamingChecker::event(const TraceEvent &E) {
                 "forwarding: a load forwarded with no buffered store to "
                 "its address",
                 I, I, &E, &E);
-      else if (E.V != Newest->V)
+      else if (E.V != Newest->Ev.V)
         violate(R,
                 "forwarding: a load forwarded a value its newest "
                 "buffered store did not write",
                 Newest->Node, I, &Newest->Ev, &E);
-      else if (plainMaxId(E.A) > Newest->Id)
+      else if (AS.PlainMax > Newest->Ev.Id)
         violate(R,
                 "coherence-per-location: a load forwarded a store that "
                 "newer globally visible writes supersede",
                 Newest->Node, I, &Newest->Ev, &E);
-      else if (OV && OV->Id > Newest->Id)
+      else if (OV && OV->Id > Newest->Ev.Id)
         violate(R,
                 "coherence-per-location: a load forwarded a store that "
                 "a newer block-visible value supersedes",
@@ -739,23 +807,21 @@ void StreamingChecker::event(const TraceEvent &E) {
       break;
     }
     case LoadSource::MemorySuperseded: {
-      if (!Newest || plainMaxId(E.A) <= Newest->Id)
+      if (!Newest || AS.PlainMax <= Newest->Ev.Id)
         violate(R,
                 "coherence-per-location: a superseded-forward load "
                 "without a superseding write",
                 I, I, &E, &E);
-      else if (E.V != globalValue(E.A))
+      else if (E.V != AS.Val)
         violate(R,
                 "read-value: a superseded-forward load bound a value "
                 "memory does not hold",
-                visibleOr(E.A, I), I, visibleEvOr(E.A, &E), &E);
-      const auto AIt = S.Addrs.find(E.A);
-      if (AIt != S.Addrs.end())
-        Rf = AIt->second.VisibleNode;
+                visibleOr(AS, I), I, visibleEvOr(AS, &E), &E);
+      Rf = AS.VisibleNode;
       break;
     }
     case LoadSource::OverlaySuperseded: {
-      if (!Newest || !OV || OV->Id <= Newest->Id)
+      if (!Newest || !OV || OV->Id <= Newest->Ev.Id)
         violate(R,
                 "coherence-per-location: a superseded-forward load "
                 "without a newer block-visible value",
@@ -772,12 +838,11 @@ void StreamingChecker::event(const TraceEvent &E) {
       break;
     }
     case LoadSource::Overlay: {
-      const auto It = S.Pending.find(Key);
-      if (It != S.Pending.end() && !It->second.empty())
+      if (!B.empty())
         violate(R,
                 "self-coherence: a load bound from the block overlay "
                 "while the thread still buffered stores on the bank",
-                It->second.front().Node, I, &It->second.front().Ev, &E);
+                B.front().Node, I, &B.front().Ev, &E);
       else if (!OV)
         violate(R,
                 "forwarding: a load bound from the block overlay with no "
@@ -804,8 +869,9 @@ void StreamingChecker::event(const TraceEvent &E) {
   }
   case TraceEventKind::AsyncIssue: {
     S.AsyncIssueAt[E.Id] = {I, E};
-    ++S.AsyncByTidBank[Key];
-    ++S.AsyncByTid[E.Tid];
+    State::ThreadState &T = S.thread(E.Tid);
+    ++S.bank(T, E.Bank).Async;
+    ++T.PendingAsync;
     if (!S.GraphDead) {
       G.makeNode(I, E);
       G.pin(I, PinPendingAsync);
@@ -820,42 +886,42 @@ void StreamingChecker::event(const TraceEvent &E) {
               I, I, &E, &E);
       break;
     }
-    --S.AsyncByTidBank[Key];
-    --S.AsyncByTid[E.Tid];
-    if (E.V != globalValue(E.A))
+    State::ThreadState &T = S.thread(E.Tid);
+    --S.bank(T, E.Bank).Async;
+    --T.PendingAsync;
+    State::AddrState &AS = S.addr(E.A);
+    if (E.V != AS.Val)
       violate(R,
               "read-value: a split-phase load bound a value memory does "
               "not hold",
-              visibleOr(E.A, I), I, visibleEvOr(E.A, &E), &E);
+              visibleOr(AS, I), I, visibleEvOr(AS, &E), &E);
     // The read's program-order point is the issue; the binding write is
     // whatever is visible now.
     const uint64_t Issue = It->second.Node;
     S.AsyncIssueAt.erase(It);
     if (!S.GraphDead) {
-      const auto AIt = S.Addrs.find(E.A);
-      const uint64_t W =
-          AIt == S.Addrs.end() ? NoNode : AIt->second.VisibleNode;
-      G.noteRead(Issue, E.A, W, /*RfPending=*/false);
+      G.noteRead(Issue, E.A, AS.VisibleNode, /*RfPending=*/false);
       G.unpin(Issue, PinPendingAsync);
     }
     break;
   }
   case TraceEventKind::Atomic: {
-    const auto It = S.Pending.find(Key);
-    if (It != S.Pending.end() && !It->second.empty())
+    State::ThreadState &T = S.thread(E.Tid);
+    State::BankState &B = S.bank(T, E.Bank);
+    State::AddrState &AS = S.addr(E.A);
+    if (!B.empty())
       violate(R,
               "self-coherence: an atomic executed while the thread still "
               "buffered stores on its bank",
-              It->second.front().Node, I, &It->second.front().Ev, &E);
-    else if (S.AsyncByTidBank[Key] != 0)
+              B.front().Node, I, &B.front().Ev, &E);
+    else if (B.Async != 0)
       violate(R,
               "same-bank issue order: an atomic executed while a "
               "split-phase load is pending on its bank",
               I, I, &E, &E);
-    else if (static_cast<Word>(E.Id) != globalValue(E.A))
+    else if (static_cast<Word>(E.Id) != AS.Val)
       violate(R, "read-value: an atomic read a value memory does not hold",
-              visibleOr(E.A, I), I, visibleEvOr(E.A, &E), &E);
-    State::AddrState &AS = S.Addrs[E.A];
+              visibleOr(AS, I), I, visibleEvOr(AS, &E), &E);
     const uint64_t W = AS.VisibleNode; // The read side binds pre-write.
     if (!S.GraphDead)
       G.makeNode(I, E);
@@ -866,7 +932,7 @@ void StreamingChecker::event(const TraceEvent &E) {
       AS.VisibleEv = E;
       G.coAppend(AS, I, /*Plain=*/false, /*Id=*/0);
       G.transferVisible(OldVisible, I);
-      S.Overlay.erase(E.A); // Atomics invalidate block-visible values.
+      AS.Overlay.clear(); // Atomics invalidate block-visible values.
       if (!S.GraphDead && AS.PendingStores == 0)
         G.pruneCo(AS);
     }
@@ -877,12 +943,13 @@ void StreamingChecker::event(const TraceEvent &E) {
     break;
   }
   case TraceEventKind::FenceDevice: {
-    if (S.PendingByTid[E.Tid] != 0)
+    const State::ThreadState &T = S.thread(E.Tid);
+    if (T.PendingStores != 0)
       violate(R,
               "fence-drain: a device fence completed with the thread's "
               "stores still buffered",
               I, I, &E, &E);
-    else if (S.AsyncByTid[E.Tid] != 0)
+    else if (T.PendingAsync != 0)
       violate(R,
               "fence-drain: a device fence completed with the thread's "
               "split-phase loads still pending",
@@ -890,13 +957,11 @@ void StreamingChecker::event(const TraceEvent &E) {
     break;
   }
   case TraceEventKind::StorePromote: {
-    S.PromotedIds.insert(E.Id);
-    const State::PendingStore *P = nullptr;
-    const auto PIt = S.Pending.find(Key);
-    if (PIt != S.Pending.end())
-      for (const State::PendingStore &PS : PIt->second)
-        if (PS.Id == E.Id)
-          P = &PS;
+    State::BankState &B = S.bank(S.thread(E.Tid), E.Bank);
+    State::PendingStore *P = nullptr;
+    for (size_t K = B.Head; K != B.Slots.size(); ++K)
+      if (B.Slots[K].Ev.Id == E.Id)
+        P = &B.Slots[K];
     if (!P) {
       violate(R,
               "forwarding: a block fence promoted a store that is not "
@@ -904,9 +969,11 @@ void StreamingChecker::event(const TraceEvent &E) {
               I, I, &E, &E);
       break;
     }
-    State::OverlayEnt *OV = overlayFor(E.Block, E.A);
+    P->Promoted = true;
+    State::AddrState &AS = S.addr(E.A);
+    State::OverlayEnt *OV = overlayFor(AS, E.Block);
     if (!OV)
-      S.Overlay[E.A].push_back({E.Block, E.Id, P->Node, E.V, P->Ev});
+      AS.Overlay.push_back({E.Block, E.Id, P->Node, E.V, P->Ev});
     else if (OV->Id < E.Id)
       *OV = {E.Block, E.Id, P->Node, E.V, P->Ev};
     break;
@@ -915,7 +982,7 @@ void StreamingChecker::event(const TraceEvent &E) {
   case TraceEventKind::BarrierRelease:
     break;
   case TraceEventKind::HostWrite: {
-    State::AddrState &AS = S.Addrs[E.A];
+    State::AddrState &AS = S.addr(E.A);
     AS.Val = E.V;
     const uint64_t OldVisible = AS.VisibleNode;
     AS.VisibleNode = I;
@@ -941,14 +1008,14 @@ const StreamVerdict &StreamingChecker::finish() {
   if (R.AxiomsOk) {
     // End-of-run axioms: the kernel boundary drained everything.
     const size_t Last = Consumed ? static_cast<size_t>(Consumed) - 1 : 0;
-    for (const auto &KV : S.PendingByTid)
-      if (KV.second != 0)
+    for (unsigned Tid : S.TouchedTids)
+      if (S.Threads[Tid].PendingStores != 0)
         violate(R,
                 "fence-drain: stores were still buffered at the end of the "
                 "run (the kernel boundary must drain them)",
                 Last, Last, &S.LastEv, &S.LastEv);
-    for (const auto &KV : S.AsyncByTid)
-      if (KV.second != 0)
+    for (unsigned Tid : S.TouchedTids)
+      if (S.Threads[Tid].PendingAsync != 0)
         violate(R,
                 "fence-drain: split-phase loads were still pending at the "
                 "end of the run",
@@ -979,6 +1046,11 @@ std::string model::renderStreamExplanation(const StreamVerdict &R,
     if (R.ViolatingB != static_cast<size_t>(-1) &&
         R.ViolatingB != R.ViolatingA)
       OS << "  " << describeEvent(R.EventB, R.ViolatingB, Namer) << "\n";
+    return OS.str();
+  }
+  if (!R.CausalityChecked) {
+    OS << "axioms hold; po ∪ rf ∪ co ∪ fr was not checked (axioms-only "
+          "scope)\n";
     return OS.str();
   }
   if (R.Sc) {

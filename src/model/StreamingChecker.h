@@ -36,6 +36,11 @@
 ///    pending split-phase loads, per-thread po heads, per-address
 ///    coherence windows), not by run length.
 ///
+/// A checker constructed with StreamScope::Axioms runs the first part
+/// only: no graph node is ever made and the verdict's Sc is left
+/// unjudged. Campaign app cells use it, because they read nothing but
+/// AxiomsOk; everything that classifies runs as weak keeps the full scope.
+///
 /// The post-hoc checker remains the reference: both consume identical
 /// event streams, so every streaming verdict is differentially testable
 /// (tests/StreamingCheckerTests.cpp pins verdict and first-violation
@@ -51,12 +56,10 @@
 #include "model/ConsistencyChecker.h"
 #include "sim/TraceSink.h"
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace gpuwmm {
@@ -65,6 +68,16 @@ namespace model {
 namespace detail {
 struct StreamingCheckerState; ///< All incremental state (in the .cpp).
 } // namespace detail
+
+/// What a StreamingChecker judges (DESIGN.md Sec. 15).
+enum class StreamScope : uint8_t {
+  /// The replay axioms and the po ∪ rf ∪ co ∪ fr cycle search.
+  Full,
+  /// The replay axioms only: runs begin with the causality graph already
+  /// dropped (the state a full-scope run enters once its cycle is found),
+  /// so no graph node is ever made and Sc stays unjudged.
+  Axioms,
+};
 
 /// Verdict of one streamed run. Field meanings match \ref CheckResult;
 /// because the checker keeps no trace, the events behind the verdict are
@@ -80,8 +93,12 @@ struct StreamVerdict {
   size_t ViolatingB = static_cast<size_t>(-1);
   sim::TraceEvent EventA, EventB; ///< Copies (valid when the index is set).
 
+  /// True iff the cycle search ran (a StreamScope::Full checker); an
+  /// axioms-only run leaves \ref Sc unjudged.
+  bool CausalityChecked = true;
+
   /// True iff no po ∪ rf ∪ co ∪ fr cycle was detected. Only meaningful
-  /// when \ref AxiomsOk.
+  /// when \ref AxiomsOk and \ref CausalityChecked.
   bool Sc = true;
 
   /// The first detected cycle: (event index, edge kind to the next
@@ -91,7 +108,10 @@ struct StreamVerdict {
   std::vector<std::pair<size_t, EdgeKind>> Cycle;
   std::vector<sim::TraceEvent> CycleEvents; ///< Copies, parallel to Cycle.
 
-  bool weak() const { return AxiomsOk && !Sc; }
+  bool weak() const {
+    assert(CausalityChecked && "an axioms-only verdict has no Sc");
+    return AxiomsOk && !Sc;
+  }
 };
 
 /// The incremental consistency oracle. Attach it as a run's trace sink
@@ -101,7 +121,7 @@ struct StreamVerdict {
 /// capacity, so steady-state checked runs stop allocating.
 class StreamingChecker final : public sim::TraceSink {
 public:
-  StreamingChecker();
+  explicit StreamingChecker(StreamScope Scope = StreamScope::Full);
   ~StreamingChecker() override;
   StreamingChecker(const StreamingChecker &) = delete;
   StreamingChecker &operator=(const StreamingChecker &) = delete;
@@ -143,6 +163,7 @@ public:
   uint64_t retiredEvents() const { return Retired; }
 
 private:
+  StreamScope Scope;
   std::unique_ptr<detail::StreamingCheckerState> St;
   StreamVerdict R;
   uint64_t Consumed = 0;

@@ -684,23 +684,50 @@ TEST(CorpusTest, MismatchedManifestIsRefused) {
       << Err;
 }
 
-TEST(CorpusTest, CorpusMinedByTheOldClassifierIsRefused) {
-  // Corpora mined before the fuzzer classified LitmusRunner final states
-  // carry the v1 manifest schema; resuming one must refuse, not mix.
-  TempCorpusDir Dir;
+namespace {
+
+/// Writes testManifest() into \p Dir with its schema rewritten to the
+/// older \p Schema, then resumes it; returns the refusal message (empty
+/// when the open wrongly succeeds).
+std::string resumeWithManifestSchema(const TempCorpusDir &Dir,
+                                     const std::string &Schema) {
   std::string Manifest = testManifest().render();
-  ASSERT_NE(Manifest.find("\"gpuwmm-hunt-manifest-v2\""), std::string::npos);
-  Manifest.replace(Manifest.find("manifest-v2"), 11, "manifest-v1");
+  const std::string Current = "gpuwmm-hunt-manifest-v3";
+  EXPECT_NE(Manifest.find(Current), std::string::npos);
+  Manifest.replace(Manifest.find(Current), Current.size(), Schema);
   std::filesystem::create_directories(Dir.Path);
   std::string Err;
-  ASSERT_TRUE(atomicWriteFile((Dir.Path / "manifest.json").string(),
+  EXPECT_TRUE(atomicWriteFile((Dir.Path / "manifest.json").string(),
                               Manifest, &Err))
       << Err;
   hunt::Corpus::OpenOptions Opts;
   Opts.Dir = Dir.str();
   Opts.Resume = true;
   hunt::Corpus C;
-  EXPECT_FALSE(hunt::Corpus::open(Opts, testManifest(), C, &Err));
+  if (hunt::Corpus::open(Opts, testManifest(), C, &Err))
+    return "";
+  return Err;
+}
+
+} // namespace
+
+TEST(CorpusTest, CorpusMinedByTheOldClassifierIsRefused) {
+  // Corpora mined before the fuzzer classified LitmusRunner final states
+  // carry the v1 manifest schema; resuming one must refuse, not mix.
+  TempCorpusDir Dir;
+  const std::string Err =
+      resumeWithManifestSchema(Dir, "gpuwmm-hunt-manifest-v1");
+  EXPECT_NE(Err.find("describes a different hunt"), std::string::npos)
+      << Err;
+}
+
+TEST(CorpusTest, CorpusMinedWithoutTheAllFencesFallbackIsRefused) {
+  // v2 corpora were hardened without the all-fences fallback, so an entry
+  // whose five reductions were all refuted was recorded reduced and not
+  // clean; resuming one must refuse, not mix the two.
+  TempCorpusDir Dir;
+  const std::string Err =
+      resumeWithManifestSchema(Dir, "gpuwmm-hunt-manifest-v2");
   EXPECT_NE(Err.find("describes a different hunt"), std::string::npos)
       << Err;
 }

@@ -23,6 +23,7 @@
 #include "model/ConsistencyChecker.h"
 #include "model/StreamingChecker.h"
 #include "stress/Environment.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -63,6 +64,27 @@ void expectSameVerdict(const std::vector<TraceEvent> &Events,
     EXPECT_EQ(A.Sc, B.Sc) << What;
     EXPECT_EQ(A.weak(), B.weak()) << What;
   }
+}
+
+/// The axioms-only contract on one event stream: the same AxiomsOk as
+/// the post-hoc checker and, for a violation, the same message and event
+/// pair; Sc is left unjudged and no graph node is ever made.
+void expectSameAxioms(const std::vector<TraceEvent> &Events,
+                      ConsistencyChecker &PostHoc, StreamingChecker &Axioms,
+                      const std::string &What) {
+  const CheckResult A = PostHoc.check(Events);
+  const StreamVerdict &B = Axioms.checkAll(Events);
+  ASSERT_EQ(A.AxiomsOk, B.AxiomsOk)
+      << What << ": post-hoc [" << A.AxiomViolation << "] vs axioms-only ["
+      << B.AxiomViolation << "]";
+  EXPECT_EQ(A.AxiomViolation, B.AxiomViolation) << What;
+  if (!A.AxiomsOk) {
+    EXPECT_EQ(A.ViolatingA, B.ViolatingA) << What;
+    EXPECT_EQ(A.ViolatingB, B.ViolatingB) << What;
+  }
+  EXPECT_FALSE(B.CausalityChecked) << What;
+  EXPECT_EQ(Axioms.peakLiveEvents(), 0u) << What;
+  EXPECT_EQ(Axioms.liveEvents(), 0u) << What;
 }
 
 } // namespace
@@ -180,12 +202,14 @@ TEST(StreamingDifferentialTest, TwoHundredFuzzProgramsMatchPostHoc) {
 // Every Tab. 4 application under sys stress: app traces exercise what
 // litmus runs cannot (barriers, block fences, overlay reads, atomics,
 // multi-kernel launches with host writes between them).
+// Every trace is also judged axioms-only, the scope campaign app cells use.
 TEST(StreamingDifferentialTest, AppTracesMatchPostHoc) {
   const sim::ChipProfile &Chip = titan();
   const stress::Environment Env{stress::StressKind::Sys, true};
   const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
   ConsistencyChecker PostHoc;
   StreamingChecker Stream;
+  StreamingChecker Axioms(model::StreamScope::Axioms);
   sim::ExecutionContext Ctx;
   Ctx.requestTracing(true);
   for (apps::AppKind App : apps::AllAppKinds) {
@@ -194,9 +218,10 @@ TEST(StreamingDifferentialTest, AppTracesMatchPostHoc) {
                                      /*Policy=*/nullptr,
                                      Rng::deriveStream(11, Run));
       ASSERT_FALSE(Ctx.trace().empty());
-      expectSameVerdict(Ctx.trace().events(), PostHoc, Stream,
-                        std::string(apps::appName(App)) + " run " +
-                            std::to_string(Run));
+      const std::string What =
+          std::string(apps::appName(App)) + " run " + std::to_string(Run);
+      expectSameVerdict(Ctx.trace().events(), PostHoc, Stream, What);
+      expectSameAxioms(Ctx.trace().events(), PostHoc, Axioms, What);
     }
   }
 }
@@ -237,6 +262,50 @@ TEST(StreamingMemoryBoundTest, PeakLiveEventsStayAtTheFrontier) {
         << "run " << Run << ": peak " << Checker.peakLiveEvents() << " of "
         << Checker.consumedEvents() << " consumed";
   }
+}
+
+// The axioms-only scope on the same long tpo-tm runs: the axioms consume
+// every event, but no graph node is ever made or retired.
+TEST(StreamingMemoryBoundTest, AxiomsOnlyRunsBuildNoGraph) {
+  const sim::ChipProfile &Chip = titan();
+  const stress::Environment Env{stress::StressKind::None, false};
+  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
+  StreamingChecker Checker(model::StreamScope::Axioms);
+  sim::ExecutionContext Ctx;
+  for (unsigned Run = 0; Run != 2; ++Run) {
+    Checker.begin();
+    Ctx.requestStreaming(&Checker);
+    (void)apps::runApplicationOnce(Ctx, apps::AppKind::TpoTm, Chip, Env,
+                                   Tuned, /*Policy=*/nullptr,
+                                   Rng::deriveStream(21, Run));
+    Ctx.requestStreaming(nullptr);
+    const StreamVerdict &R = Checker.finish();
+    ASSERT_TRUE(R.AxiomsOk) << R.AxiomViolation;
+    EXPECT_FALSE(R.CausalityChecked);
+    ASSERT_GT(Checker.consumedEvents(), 20000u) << "run " << Run;
+    EXPECT_EQ(Checker.peakLiveEvents(), 0u) << "run " << Run;
+    EXPECT_EQ(Checker.retiredEvents(), 0u) << "run " << Run;
+  }
+}
+
+// An axioms-only verdict has no Sc to read: weak() refuses it (in builds
+// with assertions), and the explanation says the cycle search never ran
+// instead of claiming sequential consistency.
+TEST(StreamingExplainTest, AxiomsOnlyVerdictIsNotCalledSc) {
+  litmus::LitmusRunner Runner(titan(), 5);
+  StreamingChecker Checker(model::StreamScope::Axioms);
+  litmus::LitmusRunner::RunOpts Opts;
+  Opts.Sink = &Checker;
+  Checker.begin();
+  (void)Runner.runOnce(litmus::catalogProgram(litmus::LitmusKind::MP), 64,
+                       litmus::LitmusRunner::MicroStress::none(), Opts);
+  const StreamVerdict &R = Checker.finish();
+  ASSERT_TRUE(R.AxiomsOk) << R.AxiomViolation;
+  EXPECT_FALSE(R.CausalityChecked);
+  const std::string Text = model::renderStreamExplanation(R);
+  EXPECT_EQ(Text.find("sequentially consistent"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("not checked"), std::string::npos) << Text;
+  EXPECT_DEBUG_DEATH((void)R.weak(), "axioms-only");
 }
 
 // begin() must fully reset the diagnostics: a short run after a long one
@@ -280,8 +349,9 @@ std::vector<TraceEvent> recordedMpTrace() {
   return Runner.trace().events();
 }
 
-/// Both checkers on \p Events: must reject, with identical messages whose
-/// axiom tag (the text before ':') is \p Tag.
+/// Both checkers on \p Events, the streaming one in both scopes: must
+/// reject, with identical messages whose axiom tag (the text before ':') is
+/// \p Tag.
 void expectBothRejectWith(const std::vector<TraceEvent> &Events,
                           const std::string &Tag, const char *What) {
   ConsistencyChecker PostHoc;
@@ -295,6 +365,8 @@ void expectBothRejectWith(const std::vector<TraceEvent> &Events,
   EXPECT_EQ(A.ViolatingB, B.ViolatingB) << What;
   EXPECT_EQ(A.AxiomViolation.substr(0, Tag.size()), Tag)
       << What << ": " << A.AxiomViolation;
+  StreamingChecker Axioms(model::StreamScope::Axioms);
+  expectSameAxioms(Events, PostHoc, Axioms, What);
 }
 
 } // namespace
@@ -394,20 +466,32 @@ TEST(StreamingExplainTest, HandBuiltWeakMpYieldsRenderableCycle) {
 // Campaign --oracle=all
 //===----------------------------------------------------------------------===//
 
+// App cells check axioms-only; ls-bh and ct-octree are the scalar kernels
+// that dominate a checked Tab. 5 grid. The per-cell counts are pinned from
+// the full-scope checker's output (`gpuwmm campaign --chips=titan
+// --envs=no-str-,sys-str+ --apps=cbe-dot,cbe-ht,sdk-red,ls-bh,ct-octree
+// --litmus=MP --runs=10 --seed=3 --oracle=all`, before app cells dropped
+// the causality graph).
 TEST(StreamingCampaignTest, OracleAllChecksEveryRunWithoutPerturbing) {
   harness::CampaignConfig Config;
   Config.Chips = {&titan()};
   Config.Envs = {{stress::StressKind::None, false},
                  {stress::StressKind::Sys, true}};
   Config.Apps = {apps::AppKind::CbeDot, apps::AppKind::CbeHt,
-                 apps::AppKind::SdkRed};
+                 apps::AppKind::SdkRed, apps::AppKind::LsBh,
+                 apps::AppKind::CtOctree};
   Config.LitmusTests = {litmus::findCatalogProgram("MP")};
   Config.Runs = 10;
   Config.Seed = 3;
   Config.OracleEvery = 1; // --oracle=all
   const harness::CampaignReport Report = harness::runCampaign(Config);
-  ASSERT_EQ(Report.Cells.size(), 6u);
-  for (const harness::CampaignCell &Cell : Report.Cells) {
+  ASSERT_EQ(Report.Cells.size(), 10u);
+  // Errors per cell, in grid order: no-str- then sys-str+, apps as above.
+  const unsigned PinnedErrors[10] = {0, 0, 0, 0, 0, 1, 0, 0, 0, 5};
+  for (size_t I = 0; I != Report.Cells.size(); ++I) {
+    const harness::CampaignCell &Cell = Report.Cells[I];
+    EXPECT_EQ(Cell.Result.Errors, PinnedErrors[I])
+        << Cell.Env.name() << "/" << apps::appName(Cell.App);
     EXPECT_EQ(Cell.OracleChecked, Config.Runs);
     EXPECT_EQ(Cell.OracleViolations, 0u);
   }
@@ -416,7 +500,9 @@ TEST(StreamingCampaignTest, OracleAllChecksEveryRunWithoutPerturbing) {
   // executions each; --oracle=all checks every one of them.
   EXPECT_EQ(Report.LitmusCells[0].OracleChecked,
             Report.LitmusCells[0].Runs * titan().NumBanks);
+  EXPECT_EQ(Report.LitmusCells[0].OracleChecked, 80u);
   EXPECT_EQ(Report.LitmusCells[0].OracleViolations, 0u);
+  EXPECT_EQ(Report.LitmusCells[0].Weak, 5u);
 
   // The oracle observes only: every count must be bit-identical with it
   // off.

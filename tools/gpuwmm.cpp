@@ -97,9 +97,10 @@ int usage() {
       "          [--out-dir=DIR [--resume] [--cells=A..B,K]]\n"
       "                                the Tab. 5 grid; emits a JSON report;\n"
       "                                --oracle=N streams every Nth run\n"
-      "                                through the axiomatic oracle\n"
-      "                                (--oracle=all checks every run;\n"
-      "                                memory stays frontier-bounded);\n"
+      "                                through the axiomatic oracle (app\n"
+      "                                runs: the axioms; litmus runs: also\n"
+      "                                the SC cycle check; --oracle=all\n"
+      "                                checks every run);\n"
       "                                --out-dir shards one fsync'd record\n"
       "                                per cell into DIR instead (survives\n"
       "                                SIGKILL; several workers may stripe\n"
