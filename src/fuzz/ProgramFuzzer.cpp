@@ -182,7 +182,8 @@ FuzzResult fuzz::fuzzProgram(const litmus::Program &P,
         Stressed ? litmus::LitmusRunner::MicroStress::at(
                        Tuned.Seq, Region * Tuned.PatchWords)
                  : litmus::LitmusRunner::MicroStress::none();
-    Runner.countWeak(P, Chip.PatchSizeWords, Stress, Chunk, {}, &Finals);
+    Runner.countWeak(P, Chip.PatchSizeWords, Stress, Chunk, {},
+                     /*PerRun=*/nullptr, &Finals);
     for (auto It = Finals.begin(); It != Finals.end(); It += Stride) {
       Outcome O(It, It + static_cast<ptrdiff_t>(Stride));
       if (Sc.count(O)) {

@@ -169,20 +169,75 @@ Program removeUnit(const Program &P, const Unit &U) {
 }
 
 /// Shared oracle state of one reduction: both checkers, recycled across
-/// candidates, plus the cross-check accounting.
+/// candidates, plus the cross-check accounting and the scan buffers.
 struct ShrinkOracle {
   model::StreamingChecker Streaming;
   model::ConsistencyChecker PostHoc;
   uint64_t CrossChecks = 0;
-  std::string Error; ///< First disagreement (sticky).
+  std::string Error; ///< First hard failure (sticky).
+  std::vector<uint8_t> PerRun;
+  std::vector<sim::Word> Outcomes, Replay;
 };
 
-enum class Repro { No, Yes, Disagree };
+enum class Repro { No, Yes, Error };
+
+/// Judges one forbidden-outcome execution: replays execution \p Index
+/// traced, checks the replay agrees with the scan's \p Scanned final state,
+/// and has BOTH checkers judge its trace. Returns Repro::Yes when the run is
+/// a checker-confirmed weak behaviour, Repro::No when the outcome was
+/// sequentially reachable, and Repro::Error (with Oracle.Error set) when
+/// the replay diverges from the scan or the checkers disagree.
+Repro judgeForbiddenRun(litmus::LitmusRunner &Runner, uint64_t Index,
+                        const Program &P, unsigned Distance,
+                        const litmus::LitmusRunner::MicroStress &Stress,
+                        const sim::Word *Scanned, ShrinkOracle &Oracle) {
+  // Traced (rather than sink-streamed) so the same recorded events feed
+  // both checkers.
+  litmus::LitmusRunner::RunOpts Traced;
+  Traced.Trace = true;
+  const bool Forbidden =
+      Runner.runOnceAt(Index, P, Distance, Stress, Traced, &Oracle.Replay);
+  if (!Forbidden ||
+      !std::equal(Oracle.Replay.begin(), Oracle.Replay.end(), Scanned)) {
+    Oracle.Error = "batched and traced runs diverge at execution " +
+                   std::to_string(Index) + " of '" + P.Name + "' (" +
+                   (Forbidden ? "final states differ"
+                              : "the traced replay misses the forbidden "
+                                "outcome") +
+                   ")";
+    return Repro::Error;
+  }
+  // Only a checker-confirmed non-SC execution counts (a reduction that
+  // makes the outcome sequentially reachable shrank the weakness away) —
+  // and both oracles must say so about the same trace.
+  const sim::EventTrace &Trace = Runner.trace();
+  const model::StreamVerdict &SV = Oracle.Streaming.checkAll(Trace);
+  const model::CheckResult CR = Oracle.PostHoc.check(Trace);
+  ++Oracle.CrossChecks;
+  if (SV.AxiomsOk != CR.AxiomsOk || SV.weak() != CR.weak()) {
+    Oracle.Error =
+        "streaming and post-hoc checkers disagree on a "
+        "forbidden-outcome run of '" +
+        P.Name + "' (streaming: axioms " +
+        (SV.AxiomsOk ? "ok" : ("violated [" + SV.AxiomViolation + "]")) +
+        (SV.weak() ? ", weak" : ", not weak") + "; post-hoc: axioms " +
+        (CR.AxiomsOk ? "ok" : ("violated [" + CR.AxiomViolation + "]")) +
+        (CR.weak() ? ", weak" : ", not weak") + ")";
+    return Repro::Error;
+  }
+  return SV.weak() ? Repro::Yes : Repro::No;
+}
 
 /// Whether \p P provokes its forbidden outcome as a checker-confirmed weak
-/// behaviour within the attempt budget. Every consulted run is traced and
-/// judged by BOTH the streaming and the post-hoc checker; a verdict
-/// disagreement is a hard failure (Repro::Disagree), not a data point.
+/// behaviour within the attempt budget. Each stress region is scanned in
+/// chunks of the batch width through LitmusRunner::countWeak (batched
+/// unless --engine=scalar); only the executions that show the forbidden
+/// outcome are replayed traced (runOnceAt) and judged by BOTH the
+/// streaming and the post-hoc checker, in execution order. A replay that
+/// diverges from the scan or a checker disagreement is a hard failure
+/// (Repro::Error), not a data point. Execution i draws Master.fork(i) on
+/// either engine, so verdicts, cross-check counts and the provoking
+/// region equal a traced scalar run-by-run scan at every width.
 /// \p AttemptIdx seeds the attempt (one stream per candidate, so the
 /// search is deterministic); \p PreferRegion is tried first (the stress
 /// location that last worked).
@@ -190,12 +245,6 @@ Repro reproducesWeak(const Program &P, const sim::ChipProfile &Chip,
                      const ShrinkOptions &Opts, uint64_t AttemptIdx,
                      unsigned &PreferRegion, ShrinkOracle &Oracle) {
   litmus::LitmusRunner Runner(Chip, Rng::deriveStream(Opts.Seed, AttemptIdx));
-  litmus::LitmusRunner::RunOpts RunOpts;
-  // Trace (rather than sink-stream) so the same recorded events feed both
-  // checkers. Tracing and sinking are equally pure observation on the
-  // scalar path, so verdicts and run outcomes match the historical
-  // sink-attached behaviour bit for bit.
-  RunOpts.Trace = true;
 
   // Stress locations to try, most-recently-successful region first (the
   // effective region rarely changes between close candidates).
@@ -214,34 +263,26 @@ Repro reproducesWeak(const Program &P, const sim::ChipProfile &Chip,
     Configs.emplace_back(0, litmus::LitmusRunner::MicroStress::none());
   }
 
+  const size_t Stride = P.Registers.size() + P.Locations.size();
   for (const auto &[Region, Stress] : Configs) {
-    for (unsigned Run = 0; Run != Opts.RunsPerAttempt; ++Run) {
-      const bool Forbidden = Runner.runOnce(P, Opts.Distance, Stress,
-                                            RunOpts);
-      if (!Forbidden)
+    for (unsigned Done = 0; Done != Opts.RunsPerAttempt;) {
+      const unsigned N = std::min(Runner.batchWidth(),
+                                  Opts.RunsPerAttempt - Done);
+      const uint64_t Base = Runner.executions();
+      Done += N;
+      if (Runner.countWeak(P, Opts.Distance, Stress, N, {}, &Oracle.PerRun,
+                           &Oracle.Outcomes) == 0)
         continue;
-      // The forbidden outcome was observed; only a checker-confirmed
-      // non-SC execution counts (a reduction that makes the outcome
-      // sequentially reachable shrank the weakness away) — and both
-      // oracles must say so about the same trace.
-      const sim::EventTrace &Trace = Runner.trace();
-      const model::StreamVerdict &SV = Oracle.Streaming.checkAll(Trace);
-      const model::CheckResult CR = Oracle.PostHoc.check(Trace);
-      ++Oracle.CrossChecks;
-      if (SV.AxiomsOk != CR.AxiomsOk || SV.weak() != CR.weak()) {
-        Oracle.Error =
-            "streaming and post-hoc checkers disagree on a "
-            "forbidden-outcome run of '" +
-            P.Name + "' (streaming: axioms " +
-            (SV.AxiomsOk ? "ok" : ("violated [" + SV.AxiomViolation + "]")) +
-            (SV.weak() ? ", weak" : ", not weak") + "; post-hoc: axioms " +
-            (CR.AxiomsOk ? "ok" : ("violated [" + CR.AxiomViolation + "]")) +
-            (CR.weak() ? ", weak" : ", not weak") + ")";
-        return Repro::Disagree;
-      }
-      if (SV.weak()) {
-        PreferRegion = Region;
-        return Repro::Yes;
+      for (unsigned J = 0; J != N; ++J) {
+        if (!Oracle.PerRun[J])
+          continue;
+        const Repro R = judgeForbiddenRun(
+            Runner, Base + J, P, Opts.Distance, Stress,
+            Oracle.Outcomes.data() + J * Stride, Oracle);
+        if (R == Repro::Yes)
+          PreferRegion = Region;
+        if (R != Repro::No)
+          return R;
       }
     }
   }
@@ -300,7 +341,7 @@ ShrinkResult fuzz::shrinkWeakProgram(const Program &P,
       ++Result.Candidates;
       const Repro R = reproducesWeak(Candidate, Chip, Opts, AttemptIdx++,
                                      PreferRegion, Oracle);
-      if (R == Repro::Disagree) {
+      if (R == Repro::Error) {
         Result.CrossChecks = Oracle.CrossChecks;
         Result.OracleError = Oracle.Error;
         return Result; // Hard failure: stop reducing immediately.

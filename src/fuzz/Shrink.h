@@ -13,12 +13,14 @@
 /// threads — while the reduced program still provokes that same forbidden
 /// outcome *as a genuinely weak behaviour*.
 ///
-/// Every accepted reduction is double-checked: the provoking run's event
-/// trace is judged by BOTH the streaming checker (model/StreamingChecker.h)
-/// and the post-hoc checker (model/ConsistencyChecker.h), and any verdict
-/// disagreement aborts the reduction with ShrinkResult::OracleError — a
-/// silent oracle divergence must never decide which programs enter a hunt
-/// corpus.
+/// Each candidate is scanned on the batched engine (LitmusRunner::countWeak,
+/// honouring `--engine`), and only the runs that show the forbidden
+/// outcome are replayed traced (LitmusRunner::runOnceAt) and judged by
+/// BOTH the streaming checker (model/StreamingChecker.h) and the post-hoc
+/// checker (model/ConsistencyChecker.h). A verdict disagreement, or a
+/// replay whose outcome or final state differs from the scan's, aborts the
+/// reduction with ShrinkResult::OracleError — a silent oracle or engine
+/// divergence must never decide which programs enter a hunt corpus.
 ///
 /// Instructions whose result register appears in the forbidden clause are
 /// never removed (they define the outcome being pinned); split-phase
@@ -83,8 +85,9 @@ struct ShrinkResult {
   /// forbidden-outcome run consulted during the reduction).
   uint64_t CrossChecks = 0;
   /// Non-empty iff the streaming and post-hoc checkers ever disagreed on
-  /// a consulted run — a hard failure: the reduction stops immediately
-  /// and the result must not be trusted.
+  /// a consulted run, or a traced replay diverged from the batched scan —
+  /// a hard failure: the reduction stops immediately and the result must
+  /// not be trusted.
   std::string OracleError;
   /// Accepted intermediate programs, oldest first, ending with Reduced
   /// (only populated when ShrinkOptions::RecordSteps).
@@ -101,8 +104,8 @@ ShrinkResult shrinkWeakProgram(const litmus::Program &P,
 /// Whether \p P provokes its forbidden outcome as a checker-confirmed
 /// weak behaviour within \p Opts' attempt budget (the shrinker's own
 /// acceptance test, exposed for property tests and the hunt pipeline).
-/// A streaming/post-hoc disagreement reports false and sets
-/// \p OracleError when non-null.
+/// A streaming/post-hoc disagreement or a batched/traced divergence
+/// reports false and sets \p OracleError when non-null.
 bool reproducesWeakProgram(const litmus::Program &P,
                            const sim::ChipProfile &Chip,
                            const ShrinkOptions &Opts,

@@ -106,8 +106,9 @@ struct HuntReport {
 /// Runs the pipeline: opens (or resumes) the corpus, executes the
 /// outstanding rounds, and fills \p Report. False + \p Err on hard
 /// failure — a corpus I/O error or, crucially, any streaming-vs-post-hoc
-/// checker disagreement on a shrink acceptance run (a result built on a
-/// diverging oracle must not be trusted). \p Pool may be null (serial);
+/// checker disagreement on a shrink acceptance run, or a traced replay
+/// that diverges from shrink's batched scan (a result built on a
+/// diverging oracle or engine must not be trusted). \p Pool may be null (serial);
 /// results are bit-identical for every pool size and batch width.
 bool runHunt(const HuntConfig &Cfg, ThreadPool *Pool, HuntReport &Report,
              std::string *Err);

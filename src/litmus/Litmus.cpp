@@ -144,12 +144,29 @@ void LitmusRunner::rebuildPlan(const Program &P, unsigned Distance) {
 
 bool LitmusRunner::runOnce(const Program &P, unsigned Distance,
                            const MicroStress &S, const RunOpts &Opts) {
+  return execute(Execs++, P, Distance, S, Opts);
+}
+
+bool LitmusRunner::runOnceAt(uint64_t Index, const Program &P,
+                             unsigned Distance, const MicroStress &S,
+                             const RunOpts &Opts,
+                             std::vector<Word> *Outcome) {
+  const bool Forbidden = execute(Index, P, Distance, S, Opts);
+  if (Outcome) {
+    Outcome->assign(FinalRegs.begin(), FinalRegs.end());
+    Outcome->insert(Outcome->end(), FinalMem.begin(), FinalMem.end());
+  }
+  return Forbidden;
+}
+
+bool LitmusRunner::execute(uint64_t Index, const Program &P,
+                           unsigned Distance, const MicroStress &S,
+                           const RunOpts &Opts) {
   if (Cached.P != &P || Cached.Distance != Distance) {
     assert(P.validate().empty() && "program must be well-formed");
     rebuildPlan(P, Distance);
   }
-  Rng RunRng = Master.fork(Execs);
-  ++Execs;
+  Rng RunRng = Master.fork(Index);
 
   // Arm (or disarm) the context's recycled event recorder — or an
   // external streaming sink — before the Device resets it; either form
@@ -250,6 +267,7 @@ std::string LitmusRunner::addrName(sim::Addr A) const {
 unsigned LitmusRunner::countWeak(const Program &P, unsigned Distance,
                                  const MicroStress &S, unsigned C,
                                  const RunOpts &Opts,
+                                 std::vector<uint8_t> *PerRun,
                                  std::vector<Word> *Outcomes) {
   // Tracing and streaming sinks observe through the scalar engine's
   // event seam, which the batched executor does not drive: such runs take
@@ -258,11 +276,16 @@ unsigned LitmusRunner::countWeak(const Program &P, unsigned Distance,
   // interleave traced and batched runs on one runner.
   if (Opts.Trace || Opts.Sink ||
       sim::engineMode() == sim::EngineMode::Scalar) {
+    if (PerRun)
+      PerRun->clear();
     if (Outcomes)
       Outcomes->clear();
     unsigned Weak = 0;
     for (unsigned I = 0; I != C; ++I) {
-      Weak += runOnce(P, Distance, S, Opts);
+      const bool IsWeak = runOnce(P, Distance, S, Opts);
+      Weak += IsWeak;
+      if (PerRun)
+        PerRun->push_back(IsWeak);
       if (Outcomes) {
         Outcomes->insert(Outcomes->end(), FinalRegs.begin(), FinalRegs.end());
         Outcomes->insert(Outcomes->end(), FinalMem.begin(), FinalMem.end());
@@ -270,8 +293,7 @@ unsigned LitmusRunner::countWeak(const Program &P, unsigned Distance,
     }
     return Weak;
   }
-  return countWeakBatch(P, Distance, S, C, Opts, /*PerRun=*/nullptr,
-                        Outcomes);
+  return countWeakBatch(P, Distance, S, C, Opts, PerRun, Outcomes);
 }
 
 void LitmusRunner::rebuildBatchPlan(const Program &P, unsigned Distance,

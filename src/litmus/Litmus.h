@@ -145,20 +145,36 @@ public:
   bool runOnce(const Program &P, unsigned Distance, const MicroStress &S,
                const RunOpts &Opts = RunOpts());
 
+  /// Executes execution \p Index of this runner's stream once — the run a
+  /// \ref runOnce would perform when executions() == \p Index — on the
+  /// scalar engine, leaving executions() untouched. This is the replay
+  /// half of "scan batched, observe the hits": a run found by
+  /// \ref countWeak can be re-run traced, draw for draw (DESIGN.md
+  /// Sec. 17). When \p Outcome is non-null it receives the run's final
+  /// state in \ref countWeak's stride layout.
+  bool runOnceAt(uint64_t Index, const Program &P, unsigned Distance,
+                 const MicroStress &S, const RunOpts &Opts = RunOpts(),
+                 std::vector<sim::Word> *Outcome = nullptr);
+
   /// Executes \p P \p C times; returns the number of weak behaviours.
   ///
   /// Runs batched (see \ref countWeakBatch) unless the options request
-  /// tracing or attach a streaming sink — those force the scalar
-  /// \ref runOnce path per run, since the batched executor does not emit
-  /// trace events. Either way, results, executions() accounting and the
-  /// runner's derived seed streams are bit-identical, so `litmus
-  /// --explain`, `--oracle=all` and `fuzz --shrink` outputs never change.
-  /// When \p Outcomes is non-null it receives every run's final state in
-  /// execution order, one stride per run: the registers by index, then the
-  /// locations by index (the fuzzer's classification input).
+  /// tracing or attach a streaming sink, or the process engine mode is
+  /// sim::EngineMode::Scalar — those take the scalar \ref runOnce path per
+  /// run, since the batched executor does not emit trace events. Either
+  /// way, results, executions() accounting and the runner's derived seed
+  /// streams are bit-identical, so `litmus --explain`, `--oracle=all` and
+  /// `fuzz --shrink` outputs never change. When \p PerRun is non-null it
+  /// receives each run's weak verdict in execution order (0/1): run J of
+  /// the call is execution `executions() + J` as of the call, which
+  /// \ref runOnceAt replays. When \p Outcomes is non-null it receives
+  /// every run's final state in execution order, one stride per run: the
+  /// registers by index, then the locations by index (the fuzzer's
+  /// classification input).
   unsigned countWeak(const Program &P, unsigned Distance,
                      const MicroStress &S, unsigned C,
                      const RunOpts &Opts = RunOpts(),
+                     std::vector<uint8_t> *PerRun = nullptr,
                      std::vector<sim::Word> *Outcomes = nullptr);
 
   /// Executes \p P \p C times on the batched engine (sim/BatchExec.h):
@@ -167,10 +183,10 @@ public:
   /// the per-run stress source is reused with only its intensity redrawn.
   /// Bit-identical, run for run, to a \ref runOnce loop at the same seed
   /// stream for every batch width (DESIGN.md Sec. 17). \p Opts must not
-  /// request tracing or a sink (asserted). When \p PerRun is non-null it
-  /// receives each run's weak verdict in execution order (0/1) — the A/B
-  /// hook for the identity bench and property tests. \p Outcomes is
-  /// \ref countWeak's final-state export.
+  /// request tracing or a sink (asserted). \p PerRun and \p Outcomes are
+  /// \ref countWeak's verdict and final-state exports. Ignores the
+  /// process engine mode; callers that must honour `--engine` go through
+  /// \ref countWeak.
   unsigned countWeakBatch(const Program &P, unsigned Distance,
                           const MicroStress &S, unsigned C,
                           const RunOpts &Opts = RunOpts(),
@@ -245,6 +261,11 @@ private:
     std::vector<std::pair<sim::Addr, sim::Word>> InitWrites;
     sim::BatchProgram BP;
   };
+
+  /// The scalar execution behind runOnce and runOnceAt: execution
+  /// \p Index draws its whole run from `Master.fork(Index)`.
+  bool execute(uint64_t Index, const Program &P, unsigned Distance,
+               const MicroStress &S, const RunOpts &Opts);
 
   void rebuildPlan(const Program &P, unsigned Distance);
   void rebuildBatchPlan(const Program &P, unsigned Distance, bool Fenced);

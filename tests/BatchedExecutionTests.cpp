@@ -7,18 +7,22 @@
 // LitmusRunner::countWeakBatch must be bit-identical, run for run, to a
 // scalar runOnce loop at the same derived seed streams — for every batch
 // width K, every option combination, fresh and reused contexts, and under
-// host-level parallelism. These property tests pin that contract over the
-// full built-in catalog and a population of random fuzz programs.
+// host-level parallelism — and LitmusRunner::runOnceAt must replay any
+// execution index of that stream traced. These property tests pin that
+// contract over the full built-in catalog and a population of random fuzz
+// programs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/ProgramFuzzer.h"
 #include "litmus/Format.h"
 #include "litmus/Litmus.h"
+#include "sim/BatchExec.h"
 #include "support/ThreadPool.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -225,6 +229,99 @@ TEST(ContextReuse, CountWeakDelegatesToBatchedPath) {
   EXPECT_EQ(A.countWeak(P, 128, S, 200),
             B.countWeakBatch(P, 128, S, 200, {}, &PerRun));
   EXPECT_EQ(PerRun.size(), 200u);
+}
+
+//===----------------------------------------------------------------------===//
+// Per-index replay: execution i of countWeak is runOnceAt(i)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Restores the process engine mode on scope exit.
+struct EngineGuard {
+  ~EngineGuard() { sim::setEngineMode(sim::EngineMode::Auto); }
+};
+
+} // namespace
+
+TEST(RunOnceAt, ReplaysEveryIndexOfCountWeak) {
+  // Shrink scans batched and replays only the forbidden-outcome runs
+  // traced, so for every index i the traced runOnceAt(i) must be the run
+  // countWeak performed at i: same verdict, same final state — on both
+  // engine paths, at every batch width, unstressed and stressed at two
+  // regions. runOnceAt never moves executions(), so a countWeak after
+  // replays continues the stream it left.
+  EngineGuard Guard;
+  std::vector<Program> Programs = {*findCatalogProgram("MP"),
+                                   *findCatalogProgram("ISA2")};
+  Rng Gen(0x5eed);
+  for (unsigned I = 0; I != 20; ++I) {
+    Rng R = Gen.fork(I);
+    Programs.push_back(fuzz::generateProgram(R, 3, 5, I % 4 == 0));
+  }
+  const unsigned Patch = titan().PatchSizeWords;
+  const std::vector<LitmusRunner::MicroStress> Stresses = {
+      LitmusRunner::MicroStress::none(),
+      LitmusRunner::MicroStress::at(tunedSeq(), 2 * Patch),
+      LitmusRunner::MicroStress::at(tunedSeq(), 5 * Patch)};
+  const unsigned Runs = 100, Half = 57, Distance = 64;
+  LitmusRunner::RunOpts Traced;
+  Traced.Trace = true;
+  unsigned Forbidden = 0;
+
+  for (size_t PI = 0; PI != Programs.size(); ++PI) {
+    const Program &P = Programs[PI];
+    ASSERT_TRUE(P.validate().empty()) << P.validate();
+    const size_t Stride = P.Registers.size() + P.Locations.size();
+    for (size_t SI = 0; SI != Stresses.size(); ++SI) {
+      const LitmusRunner::MicroStress &S = Stresses[SI];
+      const uint64_t Seed = 700 + 10 * PI + SI;
+      // The traced replays, index by index, on a runner that never
+      // advances its stream.
+      LitmusRunner Replayer(titan(), Seed);
+      std::vector<uint8_t> WantVerdicts;
+      std::vector<sim::Word> WantFinals, Final;
+      for (unsigned I = 0; I != Runs; ++I) {
+        WantVerdicts.push_back(
+            Replayer.runOnceAt(I, P, Distance, S, Traced, &Final));
+        ASSERT_EQ(Final.size(), Stride);
+        EXPECT_FALSE(Replayer.trace().empty());
+        WantFinals.insert(WantFinals.end(), Final.begin(), Final.end());
+      }
+      EXPECT_EQ(Replayer.executions(), 0u);
+      Forbidden += static_cast<unsigned>(
+          std::count(WantVerdicts.begin(), WantVerdicts.end(), uint8_t(1)));
+
+      for (const sim::EngineMode Mode :
+           {sim::EngineMode::Auto, sim::EngineMode::Scalar}) {
+        sim::setEngineMode(Mode);
+        for (const unsigned K : {1u, 7u, 64u}) {
+          LitmusRunner Runner(titan(), Seed);
+          Runner.setBatchWidth(K);
+          std::vector<uint8_t> Verdicts, Tail;
+          std::vector<sim::Word> Finals, TailFinals;
+          Runner.countWeak(P, Distance, S, Half, {}, &Verdicts, &Finals);
+          // Replays of past and future indices leave the stream alone.
+          for (const unsigned I : {0u, Half - 1, Half + 3})
+            EXPECT_EQ(Runner.runOnceAt(I, P, Distance, S, Traced),
+                      WantVerdicts[I] != 0);
+          EXPECT_EQ(Runner.executions(), Half);
+          Runner.countWeak(P, Distance, S, Runs - Half, {}, &Tail,
+                           &TailFinals);
+          EXPECT_EQ(Runner.executions(), Runs);
+          Verdicts.insert(Verdicts.end(), Tail.begin(), Tail.end());
+          Finals.insert(Finals.end(), TailFinals.begin(), TailFinals.end());
+          const std::string Where = P.Name + " stress " + std::to_string(SI) +
+                                    " engine " + sim::engineModeName(Mode) +
+                                    " K=" + std::to_string(K);
+          EXPECT_EQ(Verdicts, WantVerdicts) << Where;
+          EXPECT_EQ(Finals, WantFinals) << Where;
+        }
+      }
+    }
+  }
+  // The forbidden outcome shows on some replays (what shrink consults).
+  EXPECT_GT(Forbidden, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -310,10 +310,12 @@ TEST(FuzzBatchedTest, OutcomeExportIsIdenticalOnBothCountWeakPaths) {
     std::vector<sim::Word> Scalar, Batched;
     sim::setEngineMode(sim::EngineMode::Scalar);
     litmus::LitmusRunner A(titan(), 42);
-    const unsigned WeakA = A.countWeak(P, 64, Stress, 30, {}, &Scalar);
+    const unsigned WeakA =
+        A.countWeak(P, 64, Stress, 30, {}, nullptr, &Scalar);
     sim::setEngineMode(sim::EngineMode::Batched);
     litmus::LitmusRunner B(titan(), 42);
-    const unsigned WeakB = B.countWeak(P, 64, Stress, 30, {}, &Batched);
+    const unsigned WeakB =
+        B.countWeak(P, 64, Stress, 30, {}, nullptr, &Batched);
     EXPECT_EQ(WeakA, WeakB) << P.Name;
     ASSERT_EQ(Scalar.size(),
               30 * (P.Registers.size() + P.Locations.size()));

@@ -16,7 +16,8 @@
 //  * the crash-safe corpus store (manifest discipline, torn tails, key
 //    CRCs, artifact healing, SIGKILL injection via fork+waitpid), and
 //  * the pipeline itself: a bounded hunt mines an oracle-verified-SC
-//    corpus whose bytes are identical for every --jobs and --batch, and
+//    corpus whose bytes are identical for every --jobs, --batch and
+//    --engine (and so is each reduction shrink makes), and
 //    crash+resume converges on the uninterrupted corpus.
 //
 //===----------------------------------------------------------------------===//
@@ -46,6 +47,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <unistd.h>
 
@@ -932,31 +934,102 @@ TEST(HuntPipelineTest, SameBugFromDifferentFuzzSeedsCollapses) {
 
 namespace {
 
-/// Restores the CLI batch-width override on scope exit.
+/// Restores the CLI batch-width and engine overrides on scope exit.
 struct BatchWidthGuard {
-  ~BatchWidthGuard() { sim::setDefaultBatchWidth(0); }
+  ~BatchWidthGuard() {
+    sim::setDefaultBatchWidth(0);
+    sim::setEngineMode(sim::EngineMode::Auto);
+  }
 };
 
 } // namespace
 
+TEST(ShrinkEngineTest, BatchWidthAndEngineNeverChangeAReduction) {
+  // Shrink scans each candidate on countWeak's engine and replays only
+  // the forbidden-outcome runs traced. Execution i is the same run on
+  // every path, so a reduction — every accepted step, the counters, the
+  // provoking region and the cross-check count — is identical at --batch
+  // 1 and 64 and under --engine=scalar and auto.
+  BatchWidthGuard Guard;
+  const sim::ChipProfile &Chip = titan();
+  fuzz::BatchConfig BC;
+  BC.Programs = 60;
+  BC.RunsPerProgram = 40;
+  const auto Batch = fuzz::fuzzBatch(Chip, BC, 11);
+  struct Variant {
+    sim::EngineMode Mode;
+    unsigned BatchWidth;
+  };
+  unsigned Cases = 0, Accepted = 0;
+  for (size_t I = 0; I != Batch.size() && Cases < 4; ++I) {
+    const fuzz::BatchEntry &B = Batch[I];
+    if (!B.R.WeakOutcomes)
+      continue;
+    ++Cases;
+    const litmus::Program P =
+        fuzz::toLitmusProgram(B.P, "engine", &B.R.FirstWeak);
+    fuzz::ShrinkOptions Opts;
+    Opts.Distance = 64;
+    Opts.RunsPerAttempt = 120;
+    Opts.Seed = Rng::deriveStream(17, I);
+    Opts.RecordSteps = true;
+    std::optional<fuzz::ShrinkResult> Ref;
+    for (const Variant &V : {Variant{sim::EngineMode::Auto, 64},
+                             Variant{sim::EngineMode::Auto, 1},
+                             Variant{sim::EngineMode::Scalar, 64},
+                             Variant{sim::EngineMode::Scalar, 1}}) {
+      sim::setEngineMode(V.Mode);
+      sim::setDefaultBatchWidth(V.BatchWidth);
+      fuzz::ShrinkResult R = fuzz::shrinkWeakProgram(P, Chip, Opts);
+      ASSERT_TRUE(R.OracleError.empty()) << R.OracleError;
+      if (!Ref) {
+        Accepted += R.Accepted;
+        Ref = std::move(R);
+        continue;
+      }
+      const std::string Where = std::string("pool program ") +
+                                std::to_string(I) + " engine " +
+                                sim::engineModeName(V.Mode) +
+                                " batch " + std::to_string(V.BatchWidth);
+      EXPECT_TRUE(R.Reduced == Ref->Reduced) << Where;
+      EXPECT_TRUE(R.Steps == Ref->Steps) << Where;
+      EXPECT_EQ(R.Reproduced, Ref->Reproduced) << Where;
+      EXPECT_EQ(R.Candidates, Ref->Candidates) << Where;
+      EXPECT_EQ(R.Accepted, Ref->Accepted) << Where;
+      EXPECT_EQ(R.ProvokingRegion, Ref->ProvokingRegion) << Where;
+      EXPECT_EQ(R.CrossChecks, Ref->CrossChecks) << Where;
+    }
+  }
+  ASSERT_EQ(Cases, 4u) << "pool batch too small";
+  EXPECT_GT(Accepted, 0u) << "no case reduced; the identity is vacuous";
+}
+
 TEST(HuntPipelineTest, JobsAndBatchWidthsYieldIdenticalCorpus) {
   // The determinism acceptance criterion: a bounded hunt's corpus bytes,
-  // artifacts and report JSON are bit-identical for every --jobs and
-  // --batch combination.
+  // artifacts and report JSON are bit-identical for every --jobs,
+  // --batch and --engine combination.
   BatchWidthGuard Guard;
   ThreadPool Pool(8);
   struct Variant {
     ThreadPool *Pool;
     unsigned BatchWidth;
+    sim::EngineMode Mode;
   };
   std::string RefJson, RefLog;
   std::map<std::string, std::string> RefArtifacts;
   for (const Variant &V :
-       {Variant{nullptr, 1}, Variant{nullptr, 64}, Variant{&Pool, 1},
-        Variant{&Pool, 64}}) {
+       {Variant{nullptr, 1, sim::EngineMode::Auto},
+        Variant{nullptr, 64, sim::EngineMode::Auto},
+        Variant{&Pool, 1, sim::EngineMode::Auto},
+        Variant{&Pool, 64, sim::EngineMode::Auto},
+        Variant{nullptr, 64, sim::EngineMode::Scalar},
+        Variant{&Pool, 1, sim::EngineMode::Scalar}}) {
     sim::setDefaultBatchWidth(V.BatchWidth);
-    TempCorpusDir Dir(V.Pool ? (V.BatchWidth == 1 ? "-p1" : "-p64")
-                             : (V.BatchWidth == 1 ? "-s1" : "-s64"));
+    sim::setEngineMode(V.Mode);
+    const std::string Tag = std::string(V.Pool ? "-p" : "-s") +
+                            std::to_string(V.BatchWidth) + "-" +
+                            sim::engineModeName(V.Mode);
+    TempCorpusDir Dir(Tag.c_str());
     hunt::HuntConfig Cfg = tinyHunt(2);
     Cfg.CorpusDir = Dir.str();
     const hunt::HuntReport R = runHuntOk(Cfg, V.Pool);
@@ -972,10 +1045,8 @@ TEST(HuntPipelineTest, JobsAndBatchWidthsYieldIdenticalCorpus) {
       EXPECT_FALSE(RefArtifacts.empty());
       continue;
     }
-    EXPECT_EQ(Json, RefJson) << "report diverged (pool=" << !!V.Pool
-                             << " batch=" << V.BatchWidth << ")";
-    EXPECT_EQ(Log, RefLog) << "corpus log diverged (pool=" << !!V.Pool
-                           << " batch=" << V.BatchWidth << ")";
+    EXPECT_EQ(Json, RefJson) << "report diverged (" << Tag << ")";
+    EXPECT_EQ(Log, RefLog) << "corpus log diverged (" << Tag << ")";
     EXPECT_EQ(Artifacts, RefArtifacts);
   }
 }

@@ -478,13 +478,15 @@ int cmdFuzz(const Options &Opts) {
       SOpts.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
       const fuzz::ShrinkResult R =
           fuzz::shrinkWeakProgram(*L, *Chip, SOpts);
-      // A streaming/post-hoc verdict disagreement on any consulted run is
-      // a hard failure: the reduction was driven by a diverging oracle
-      // and its output must not be trusted (or committed to a corpus).
+      // A streaming/post-hoc verdict disagreement, or a traced replay
+      // that diverges from the batched scan, on any consulted run is a
+      // hard failure: the reduction was driven by a diverging oracle or
+      // engine and its output must not be trusted (or committed to a
+      // corpus).
       if (!R.OracleError.empty()) {
         std::fprintf(stderr,
-                     "error: consistency checkers disagreed during "
-                     "shrink (reduction aborted): %s\n",
+                     "error: shrink oracle failure (reduction aborted): "
+                     "%s\n",
                      R.OracleError.c_str());
         return 1;
       }
